@@ -19,6 +19,7 @@ from .data import center_crop, generate_toy_dataset, read_manifest, split_record
 from .errors import CheckpointError, ContractError, NumericalDivergenceError
 from .head import weight_map
 from .pipeline import (
+    DEFAULT_RATIO_SET,
     ModelConfig,
     TrainSettings,
     evaluate,
@@ -33,14 +34,13 @@ from .pipeline import (
 from .pnm import read_image, write_pgm
 from .sampling import pretrain_csm
 
-DEFAULT_RATIO_SET = (0.1, 0.2, 0.5, 1.0)
-
 
 def _env_seed() -> int:
+    text = os.environ.get("CSIQA_SEED", "0")
     try:
-        return int(os.environ.get("CSIQA_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise ContractError(f"CSIQA_SEED must be an integer, got {text!r}") from None
 
 
 def parse_config_file(path) -> dict[str, str]:

@@ -10,6 +10,7 @@ strength.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -46,6 +47,9 @@ def read_manifest(path) -> list[ManifestRecord]:
             mos = float(parts[1])
         except ValueError:
             bad.append(f"line {lineno}: bad mos value {parts[1]!r}")
+            continue
+        if not math.isfinite(mos):
+            bad.append(f"line {lineno}: mos value {parts[1]!r} is not finite")
             continue
         img_path = parts[0].strip()
         if not os.path.isabs(img_path):

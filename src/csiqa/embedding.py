@@ -65,7 +65,10 @@ def init_positions(capacity: int, embed_dim: int, rng: np.random.Generator) -> P
 
 
 def embed(em: EmbeddingMatrix, meas: MeasurementSet) -> nm.Tensor:
-    """Map each measurement vector through the column-truncated matrix."""
+    """Map each measurement row through the column-truncated matrix.
+
+    Every image of a batch shares the one product: (N*L, m) -> (N*L, d).
+    """
     m = meas.measurement_length
     if m > em.max_measurements:
         raise ContractError(
@@ -88,13 +91,16 @@ def bypass_embed(meas: MeasurementSet, embed_dim: int) -> nm.Tensor:
 
 
 def add_position(tokens: nm.Tensor, positions: PositionalTable) -> nm.Tensor:
-    """Add the first L rows of the positional table to L tokens."""
-    n = tokens.shape[0]
+    """Add the first L rows of the positional table to L tokens.
+
+    ``tokens`` is (L, d) or (N, L, d); the table broadcasts over N.
+    """
+    n = tokens.shape[-2]
     if n > positions.capacity:
         raise ContractError(
             f"{n} tokens exceed positional capacity {positions.capacity}")
-    if tokens.shape[1] != positions.embed_dim:
+    if tokens.shape[-1] != positions.embed_dim:
         raise ShapeError(
-            f"token width {tokens.shape[1]} != positional width {positions.embed_dim}")
+            f"token width {tokens.shape[-1]} != positional width {positions.embed_dim}")
     rows = nm.slice_rows(positions.table, 0, n) if n < positions.capacity else positions.table
     return nm.add(tokens, rows)

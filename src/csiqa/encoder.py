@@ -131,32 +131,41 @@ def _project_qkv(x: nm.Tensor, p: dict[str, nm.Tensor]):
 
 
 def _batched_attention(q, k, v, head_dim, return_weights=False):
-    """Scaled dot-product attention on (batch, tokens, head_dim) tensors."""
-    scores = nm.scale(nm.bmm(q, nm.permute(k, (0, 2, 1))), 1.0 / math.sqrt(head_dim))
+    """Scaled dot-product attention on (batch, heads, tokens, head_dim) tensors."""
+    scores = nm.scale(nm.bmm(q, nm.permute(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
     weights = nm.softmax(scores, axis=-1)
     out = nm.bmm(weights, v)
     return (out, weights.data.copy()) if return_weights else (out, None)
 
 
-def msa(x: nm.Tensor, p: dict[str, nm.Tensor], heads: int, return_weights: bool = False):
-    """Global multi-head self-attention over all tokens.
+def _split_heads(t: nm.Tensor, batch: int, tokens: int, heads: int) -> nm.Tensor:
+    """(batch*tokens, d) or (batch, tokens, d) -> (batch, heads, tokens, d/heads)."""
+    t = nm.reshape(t, (batch, tokens, heads, t.shape[-1] // heads))
+    return nm.permute(t, (0, 2, 1, 3))
 
-    Returns the attended tokens; with return_weights also the softmax
-    attention array of shape (heads, L, L).
+
+def _merge_heads(t: nm.Tensor, shape: tuple[int, ...]) -> nm.Tensor:
+    """Inverse of ``_split_heads``, back to ``shape``."""
+    return nm.reshape(nm.permute(t, (0, 2, 1, 3)), shape)
+
+
+def msa(x: nm.Tensor, p: dict[str, nm.Tensor], heads: int, return_weights: bool = False):
+    """Global multi-head self-attention over each sample's tokens.
+
+    ``x`` is (L, d) or (N, L, d); every sample and head goes through one
+    batched product. Returns the attended tokens; with return_weights also
+    the softmax attention array of shape (heads, L, L), or (N, heads, L, L).
     """
-    n, d = x.shape
+    *lead, n, d = x.shape
     if d % heads:
         raise ContractError(f"token width {d} not divisible by {heads} heads")
-    dh = d // heads
-    q, k, v = _project_qkv(x, p)
-
-    def split(t):
-        return nm.permute(nm.reshape(t, (n, heads, dh)), (1, 0, 2))
-
-    out, weights = _batched_attention(split(q), split(k), split(v), dh, return_weights)
-    merged = nm.reshape(nm.permute(out, (1, 0, 2)), (n, d))
-    result = nm.affine(merged, p["attn.wo"], p["attn.ob"])
-    return (result, weights) if return_weights else result
+    batch = math.prod(lead)
+    q, k, v = (_split_heads(t, batch, n, heads) for t in _project_qkv(x, p))
+    out, weights = _batched_attention(q, k, v, d // heads, return_weights)
+    result = nm.affine(_merge_heads(out, x.shape), p["attn.wo"], p["attn.ob"])
+    if return_weights:
+        return result, weights.reshape(*lead, heads, n, n)
+    return result
 
 
 def window_msa(
@@ -170,34 +179,27 @@ def window_msa(
 ):
     """Multi-head self-attention restricted to w x w windows of the grid.
 
-    With ``shift`` the tiling is cyclically rolled before windowing and
-    unrolled afterwards. When the window covers the whole grid this equals
-    global attention with the same parameters.
+    ``x`` is (N*L, d): N token grids stacked row-wise. Every window of every
+    sample goes through one batched product. With ``shift`` the tiling is
+    cyclically rolled before windowing and unrolled afterwards. When the
+    window covers the whole grid this equals global attention with the same
+    parameters. With return_weights also the softmax attention array of
+    shape (N*windows, heads, w*w, w*w).
     """
     n, d = x.shape
-    if n != grid.num_blocks:
-        raise ShapeError(f"{n} tokens do not fill grid {grid.blocks_h}x{grid.blocks_w}")
+    if n % grid.num_blocks:
+        raise ShapeError(f"{n} tokens do not fill whole {grid.blocks_h}x{grid.blocks_w} grids")
     if d % heads:
         raise ContractError(f"token width {d} not divisible by {heads} heads")
-    dh = d // heads
-    order, inverse = window_permutation(grid.blocks_h, grid.blocks_w, window, shift)
-    n_windows = n // (window * window)
+    order, inverse = window_permutation(
+        grid.blocks_h, grid.blocks_w, window, shift, n // grid.num_blocks)
+    area = window * window
     xw = nm.gather_rows(x, order)
-    q, k, v = _project_qkv(xw, p)
-
-    def split(t):
-        t = nm.reshape(t, (n_windows, window * window, heads, dh))
-        t = nm.permute(t, (0, 2, 1, 3))
-        return nm.reshape(t, (n_windows * heads, window * window, dh))
-
-    out, weights = _batched_attention(split(q), split(k), split(v), dh, return_weights)
-    out = nm.reshape(out, (n_windows, heads, window * window, dh))
-    out = nm.reshape(nm.permute(out, (0, 2, 1, 3)), (n, d))
-    projected = nm.affine(out, p["attn.wo"], p["attn.ob"])
+    q, k, v = (_split_heads(t, n // area, area, heads) for t in _project_qkv(xw, p))
+    out, weights = _batched_attention(q, k, v, d // heads, return_weights)
+    projected = nm.affine(_merge_heads(out, (n, d)), p["attn.wo"], p["attn.ob"])
     result = nm.gather_rows(projected, inverse)
-    if return_weights:
-        return result, weights.reshape(n_windows, heads, window * window, window * window)
-    return result
+    return (result, weights) if return_weights else result
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +247,16 @@ def window_refine(
 ) -> nm.Tensor:
     """Window-attention layers then a scaled 3x3 conv residual over the grid.
 
-    Layer i uses a cyclic shift of floor(w/2) on odd i, none on even i. The
-    output is conv_scale * Conv3x3(tokens) + tokens.
+    ``x`` is (L, d) or (N, L, d) and the result has its shape. Layer i uses
+    a cyclic shift of floor(w/2) on odd i, none on even i. The output is
+    conv_scale * Conv3x3(tokens) + tokens.
     """
     if grid.blocks_h % cfg.window or grid.blocks_w % cfg.window:
         raise ContractError(
             f"window {cfg.window} does not divide token grid "
             f"{grid.blocks_h}x{grid.blocks_w}")
+    shape = x.shape
+    x = nm.reshape(x, (x.size // shape[-1], shape[-1]))
     for i in range(cfg.layers):
         shift = (cfg.window // 2) if i % 2 else 0
         x = window_block(x, grid, subset(params, f"stl{i}"), heads, cfg.window, shift)
@@ -260,4 +265,4 @@ def window_refine(
         scaled = nm.mul(conv_out, params["conv.alpha"])
     else:
         scaled = nm.scale(conv_out, cfg.conv_scale)
-    return nm.add(scaled, x)
+    return nm.reshape(nm.add(scaled, x), shape)

@@ -39,28 +39,36 @@ def _branch(tokens: nm.Tensor, params: dict[str, nm.Tensor], name: str) -> nm.Te
 
 
 def aggregate(scores: nm.Tensor, weights: nm.Tensor, eps: float = DENOMINATOR_EPS) -> nm.Tensor:
-    """Weighted average sum(s*w) / (sum(w) + eps) as a scalar tensor."""
+    """Weighted average sum(s*w) / (sum(w) + eps) over each sample's tokens.
+
+    ``scores`` and ``weights`` are (L, 1) per-token columns, giving a scalar
+    tensor, or (N, L, 1), giving one pooled value per sample, shape (N,).
+    """
     if scores.shape != weights.shape:
         raise ShapeError(f"scores {scores.shape} and weights {weights.shape} differ")
-    numerator = nm.sum_all(nm.mul(scores, weights))
-    denominator = nm.add(nm.sum_all(weights), nm.Tensor(float(eps)))
+    tokens = (-2, -1)
+    numerator = nm.sum_axes(nm.mul(scores, weights), tokens)
+    denominator = nm.add(nm.sum_axes(weights, tokens), nm.Tensor(float(eps)))
     return nm.div(numerator, denominator)
 
 
 def score(
     tokens: nm.Tensor, params: dict[str, nm.Tensor], eps: float = DENOMINATOR_EPS
 ) -> tuple[nm.Tensor, np.ndarray, np.ndarray]:
-    """Pool token features into one quality score.
+    """Pool token features into one quality score per sample.
 
-    Returns the scalar score tensor plus per-token score and weight values
-    (detached copies) for inspection and weight-map rendering.
+    ``tokens`` is (L, d), giving a scalar score tensor, or (N, L, d), giving
+    (N,) scores; each sample is pooled over its own tokens only. Also
+    returns the per-token score and weight values, shape (L,) or (N, L)
+    (detached copies), for inspection and weight-map rendering.
     """
-    if tokens.shape[0] < 1:
+    if tokens.shape[-2] < 1:
         raise ContractError("need at least one token to score")
     s = _branch(tokens, params, "score")
     w = nm.sigmoid(_branch(tokens, params, "weight"))
     pooled = aggregate(s, w, eps)
-    return pooled, s.data.reshape(-1).copy(), w.data.reshape(-1).copy()
+    per_token = tokens.shape[:-1]
+    return pooled, s.data.reshape(per_token).copy(), w.data.reshape(per_token).copy()
 
 
 def weight_map(weights: np.ndarray, grid: BlockGrid) -> np.ndarray:

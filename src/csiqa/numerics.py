@@ -108,13 +108,21 @@ class GradTape:
         self._records.append((out, backprop))
 
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss)=1 and propagate through the tape in reverse."""
+        """Seed d(loss)/d(loss)=1 and propagate through the tape in reverse.
+
+        Each record is dropped once replayed, so the graph is freed by
+        reference counting as soon as the caller lets go of its tensors,
+        not by the cyclic collector. A tape is therefore single-use.
+        """
         if loss.data.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         if loss._tape is not self:
-            raise ContractError("loss was not recorded on this tape")
+            raise ContractError("loss was not recorded on this tape, or the tape was replayed")
         loss.grad = np.ones_like(loss.data)
-        for out, backprop in reversed(self._records):
+        records, self._records = self._records, []
+        while records:
+            out, backprop = records.pop()
+            out._tape = None
             if out.grad is not None:
                 backprop(out.grad)
 
@@ -135,9 +143,10 @@ def _active_tape() -> "GradTape | None":
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    # The first gradient may be a view shared with another tensor (``add``
+    # hands one array to both inputs, ``reshape`` hands on a view), so a
+    # later one is never added into it in place.
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _make(out_data: np.ndarray, inputs: Sequence[Tensor], backprop) -> Tensor:
@@ -255,11 +264,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product over the leading axis of two rank-3 tensors."""
+    """Matrix product of the last two axes, batched over equal leading axes."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 3 or b.ndim != 3:
-        raise ShapeError(f"bmm needs two rank-3 tensors, got {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+    if a.ndim < 3 or a.ndim != b.ndim:
+        raise ShapeError(f"bmm needs two tensors of one rank >= 3, got {a.shape} and {b.shape}")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"bmm extents incompatible: {a.shape} x {b.shape}")
     out = a.data @ b.data
 
@@ -273,21 +282,25 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Fused ``x @ w + b`` with the bias broadcast over rows."""
+    """Fused ``x @ w + b`` over the last axis of x, bias broadcast over rows.
+
+    Leading axes of x (a batch of samples) are treated as more rows.
+    """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
-        raise ShapeError(f"affine needs (2d, 2d, 1d), got {x.shape}, {w.shape}, {b.shape}")
-    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+    if x.ndim < 2 or w.ndim != 2 or b.ndim != 1:
+        raise ShapeError(f"affine needs (>=2d, 2d, 1d), got {x.shape}, {w.shape}, {b.shape}")
+    if x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(f"affine extents incompatible: {x.shape} @ {w.shape} + {b.shape}")
     out = x.data @ w.data + b.data
 
     def backprop(g):
         if x.requires_grad:
             _accumulate(x, g @ w.data.T)
+        rows = g.reshape(-1, g.shape[-1])
         if w.requires_grad:
-            _accumulate(w, x.data.T @ g)
+            _accumulate(w, x.data.reshape(-1, w.shape[0]).T @ rows)
         if b.requires_grad:
-            _accumulate(b, g.sum(axis=0))
+            _accumulate(b, rows.sum(axis=0))
 
     return _make(out, (x, w, b), backprop)
 
@@ -411,14 +424,22 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
 # Reductions
 # ---------------------------------------------------------------------------
 
-def sum_all(x: Tensor) -> Tensor:
+def sum_axes(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """Sum over the given axes, which are dropped from the shape."""
     x = as_tensor(x)
+    total = x.data.sum(axis=axes, keepdims=True)
+    kept = total.shape
 
     def backprop(g):
         if x.requires_grad:
-            _accumulate(x, np.broadcast_to(g, x.shape).copy())
+            _accumulate(x, np.broadcast_to(g.reshape(kept), x.shape).copy())
 
-    return _make(np.asarray(x.data.sum()), (x,), backprop)
+    return _make(total.squeeze(axes), (x,), backprop)
+
+
+def sum_all(x: Tensor) -> Tensor:
+    x = as_tensor(x)
+    return sum_axes(x, tuple(range(x.ndim)))
 
 
 def mean_all(x: Tensor) -> Tensor:

@@ -54,6 +54,7 @@ from .encoder import (
 from .errors import (
     CheckpointFormatError,
     ContractError,
+    CorrelationUndefinedError,
     NumericalDivergenceError,
 )
 from .head import init_head_params, score as head_score
@@ -196,13 +197,6 @@ class ModelState:
         for t in self.params.values():
             t.zero_grad()
 
-    def clone(self) -> "ModelState":
-        fresh = {
-            k: nm.Tensor(v.data.copy(), requires_grad=v.requires_grad)
-            for k, v in self.params.items()
-        }
-        return ModelState(replace(self.config), fresh)
-
 
 def init_model(cfg: ModelConfig) -> ModelState:
     """Seeded parameter initialization in a fixed draw order."""
@@ -226,12 +220,14 @@ def init_model(cfg: ModelConfig) -> ModelState:
     return ModelState(cfg, params)
 
 
-def forward(img: np.ndarray, state: ModelState, ratio: float | None = None):
-    """Score one single-channel image in [0, 1].
+def forward(imgs: np.ndarray, state: ModelState, ratio: float | None = None):
+    """Score a batch of same-sized single-channel images in [0, 1].
 
-    Returns (scalar score tensor, diagnostics dict). The image is padded to
-    a multiple of the block size; its token count must fit the positional
-    table and its token grid must be divisible by the attention window.
+    ``imgs`` is (N, H, W), or one (H, W) image as the N=1 case. Returns
+    ((N,) score tensor, diagnostics dict); the diagnostics hold (N, L)
+    per-token scores and weights. Images are padded to a multiple of the
+    block size; their token count must fit the positional table and their
+    token grid must be divisible by the attention window.
     """
     cfg = state.config
     if ratio is None:
@@ -244,11 +240,12 @@ def forward(img: np.ndarray, state: ModelState, ratio: float | None = None):
             f"cs-iqa bypass cannot fit {m} measurements (ratio {ratio}) into "
             f"embedding width {cfg.embed_dim}")
     matrix = SamplingMatrix(state.params["csm.phi"], cfg.block_size)
-    meas = sample(matrix, img, ratio)
+    meas = sample(matrix, imgs, ratio)
     if cfg.variant == "cl-iqa":
         tokens = embed(EmbeddingMatrix(state.params["aem.embed"], cfg.embed_dim), meas)
     else:
         tokens = bypass_embed(meas, cfg.embed_dim)
+    tokens = nm.reshape(tokens, (meas.batch, meas.grid.num_blocks, cfg.embed_dim))
     x = add_position(tokens, PositionalTable(state.params["aem.pos"]))
     x = encode(x, subset(state.params, "enc"), cfg.encoder_config())
     for j in range(cfg.refine_modules):
@@ -282,6 +279,10 @@ def predict_image(
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
     img = pad_to_size(np.asarray(img, dtype=np.float64), cfg.crop_size, cfg.crop_size)
     total = 0.0
+    # One N=1 forward per crop: without a tape, a five-crop batch measured
+    # slower, since each op then writes fresh arrays of a few hundred KB
+    # whose pages fault in again, which costs more than the saved per-op
+    # overhead.
     for _ in range(n_crops):
         crop = random_crop(img, cfg.crop_size, rng)
         pooled, _ = forward(crop, state, ratio)
@@ -362,15 +363,6 @@ class TrainResult:
     best: dict | None
 
 
-def _loss_of_batch(state, crops, targets, ratio):
-    total = nm.Tensor(0.0)
-    for img, mos in zip(crops, targets):
-        pooled, _ = forward(img, state, ratio)
-        diff = nm.sub(pooled, nm.Tensor(float(mos)))
-        total = nm.add(total, nm.mul(diff, diff))
-    return nm.scale(total, 1.0 / len(crops))
-
-
 def _snapshot(state: ModelState, opt: nm.AdamState, rng, history) -> dict:
     return {
         "params": {k: v.data.copy() for k, v in state.params.items()},
@@ -447,11 +439,13 @@ def train(
             ratio = cfg.ratio_set[int(rng.integers(len(cfg.ratio_set)))]
         else:
             ratio = cfg.ratio
-        crops = [random_crop(train_imgs[i], cfg.crop_size, rng) for i in batch]
-        mos = [targets[i] for i in batch]
+        crops = np.stack([random_crop(train_imgs[i], cfg.crop_size, rng) for i in batch])
+        mos = nm.Tensor([targets[i] for i in batch])
         state.zero_grads()
         with nm.GradTape() as tape:
-            loss = _loss_of_batch(state, crops, mos, ratio)
+            scores, _ = forward(crops, state, ratio)
+            diff = nm.sub(scores, mos)
+            loss = nm.mean_all(nm.mul(diff, diff))
         value = loss.item()
         if not math.isfinite(value):
             raise NumericalDivergenceError(f"non-finite loss at step {step + 1}")
@@ -467,7 +461,7 @@ def train(
             mse = float(np.mean((val_scores - val_mos) ** 2))
             try:
                 rank = srcc(val_scores, val_mos)
-            except Exception:
+            except CorrelationUndefinedError:
                 rank = None
             history["val"].append({"step": step + 1, "mse": mse, "srcc": rank})
             if mse < best_mse:

@@ -64,7 +64,11 @@ class SamplingMatrix:
 
 @dataclass
 class MeasurementSet:
-    """Per-block measurement vectors stacked into an (L, m) tensor."""
+    """Per-block measurement vectors stacked into an (N*L, m) tensor.
+
+    Rows are the blocks of N same-sized images, image by image, each in
+    scan order; a single image is the N=1 case.
+    """
 
     values: nm.Tensor
     grid: BlockGrid
@@ -73,6 +77,10 @@ class MeasurementSet:
     @property
     def measurement_length(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def batch(self) -> int:
+        return self.values.shape[0] // self.grid.num_blocks
 
     @property
     def total_scalars(self) -> int:
@@ -98,35 +106,40 @@ def gaussian_sampling_matrix(block_size: int, rng: np.random.Generator) -> Sampl
 
 
 def pad_to_blocks(img: np.ndarray, block_size: int) -> np.ndarray:
-    """Reflect-pad bottom/right so both extents are multiples of B."""
+    """Reflect-pad bottom/right so both extents are multiples of B.
+
+    Takes one (H, W) image or a stack of N same-sized images (N, H, W).
+    """
     if block_size <= 0:
         raise ContractError(f"block size must be positive, got {block_size}")
     img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ShapeError(f"expected a single-channel 2-D image, got shape {img.shape}")
-    h, w = img.shape
+    if img.ndim not in (2, 3):
+        raise ShapeError(
+            f"expected a single-channel (H, W) image or (N, H, W) stack, got shape {img.shape}")
+    h, w = img.shape[-2:]
     ph = (-h) % block_size
     pw = (-w) % block_size
     if ph == 0 and pw == 0:
         return img
     mode = "reflect" if min(h, w) > 1 else "edge"
-    return np.pad(img, ((0, ph), (0, pw)), mode=mode)
+    return np.pad(img, ((0, 0),) * (img.ndim - 2) + ((0, ph), (0, pw)), mode=mode)
 
 
 def split_blocks(img: np.ndarray, block_size: int) -> tuple[np.ndarray, BlockGrid]:
     """Split (padding first if needed) into row-major flattened blocks.
 
-    Returns an (L, B^2) array whose rows are the blocks in scan order, with
-    each block flattened row-major, plus the grid geometry.
+    Returns an (N*L, B^2) array whose rows are each image's blocks in scan
+    order, with each block flattened row-major, plus the per-image grid
+    geometry. A single (H, W) image gives N=1.
     """
     padded = pad_to_blocks(img, block_size)
-    h, w = padded.shape
+    h, w = padded.shape[-2:]
     b = block_size
     grid = BlockGrid(h // b, w // b, b)
     blocks = (
-        padded.reshape(grid.blocks_h, b, grid.blocks_w, b)
-        .transpose(0, 2, 1, 3)
-        .reshape(grid.num_blocks, b * b)
+        padded.reshape(-1, grid.blocks_h, b, grid.blocks_w, b)
+        .transpose(0, 1, 3, 2, 4)
+        .reshape(-1, b * b)
     )
     return np.ascontiguousarray(blocks), grid
 
@@ -152,10 +165,11 @@ def truncate(sm: SamplingMatrix, ratio: float) -> nm.Tensor:
 def sample(sm: SamplingMatrix, img: np.ndarray, ratio: float) -> MeasurementSet:
     """Measure every block with the truncated matrix; differentiable in it.
 
-    Computed as the full-matrix product followed by a column slice so that
-    measurements at a smaller ratio are bitwise a prefix of those at any
-    larger ratio (the truncated-multiply order would leave that to BLAS
-    rounding).
+    ``img`` is one (H, W) image or an (N, H, W) stack, measured as one
+    (N*L, B^2) @ Phi^T product. Computed as the full-matrix product
+    followed by a column slice so that measurements at a smaller ratio are
+    bitwise a prefix of those at any larger ratio (the truncated-multiply
+    order would leave that to BLAS rounding).
     """
     m = measurement_count(sm.block_size, ratio)
     blocks, grid = split_blocks(img, sm.block_size)
@@ -174,11 +188,12 @@ def sample_conv(sm: SamplingMatrix, img: np.ndarray, ratio: float) -> Measuremen
     b = sm.block_size
     m = measurement_count(b, ratio)
     padded = pad_to_blocks(img, b)
-    grid = BlockGrid(padded.shape[0] // b, padded.shape[1] // b, b)
+    grid = BlockGrid(padded.shape[-2] // b, padded.shape[-1] // b, b)
     kernels = sm.matrix.data[:m].reshape(m, b, b)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (b, b))[::b, ::b]
-    y = np.einsum("ghuv,muv->ghm", windows, kernels, optimize=True)
-    return MeasurementSet(nm.Tensor(y.reshape(grid.num_blocks, m)), grid, ratio)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, (b, b), axis=(-2, -1))[..., ::b, ::b, :, :]
+    y = np.einsum("...ghuv,muv->...ghm", windows, kernels, optimize=True)
+    return MeasurementSet(nm.Tensor(y.reshape(-1, m)), grid, ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,12 @@ class TestConfigFileAndSeeds:
                      "--crops", "1"]) == 0
         assert "# seed = 42" in capsys.readouterr().out
 
+    def test_env_seed_not_an_integer_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CSIQA_SEED", "abc")
+        assert main(["make-toy", "--out", str(tmp_path / "gen"), "--count", "4"]) == 2
+        assert "CSIQA_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "gen").exists()
+
     def test_make_toy_subcommand(self, tmp_path, capsys):
         out = str(tmp_path / "gen")
         assert main(["make-toy", "--out", out, "--count", "4", "--size", "16"]) == 0

@@ -24,6 +24,16 @@ class TestManifest:
         msg = str(e.value)
         assert "line 3" in msg and "line 4" in msg
 
+    def test_non_finite_mos_rejected_with_line_numbers(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("path,mos\na.pgm,0.5\nb.pgm,nan\nc.pgm,inf\nd.pgm,-inf\n",
+                        encoding="utf-8")
+        with pytest.raises(ContractError) as e:
+            data.read_manifest(path)
+        msg = str(e.value)
+        assert "line 2" not in msg
+        assert "line 3" in msg and "line 4" in msg and "line 5" in msg
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("a.pgm,0.5\n", encoding="utf-8")

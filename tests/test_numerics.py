@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -125,6 +126,41 @@ class TestBackward:
             out = nm.mul(w, w)
         with pytest.raises(ContractError):
             tape.backward(out)
+
+    def test_replayed_tape_is_freed_without_the_cyclic_collector(self, rng):
+        w = nm.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        gc.collect()
+        gc.disable()
+        try:
+            with nm.GradTape() as tape:
+                y = nm.softmax(nm.matmul(w, w))
+                loss = nm.sum_all(nm.mul(y, y))
+            tape.backward(loss)
+            del tape, loss, y
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert w.grad is not None
+
+    def test_tape_is_single_use(self):
+        w = nm.Tensor([1.0, 2.0], requires_grad=True)
+        with nm.GradTape() as tape:
+            loss = nm.sum_all(nm.mul(w, w))
+        tape.backward(loss)
+        with pytest.raises(ContractError):
+            tape.backward(loss)
+        assert np.array_equal(w.grad, [2.0, 4.0])
+
+    def test_shared_first_gradient_is_not_added_into(self):
+        # add hands one gradient array to both inputs; a's later gradient
+        # (from the scale) must not leak into b's
+        a = nm.Tensor([1.0], requires_grad=True)
+        b = nm.Tensor([1.0], requires_grad=True)
+        with nm.GradTape() as tape:
+            tripled = nm.scale(a, 3.0)
+            loss = nm.add(nm.sum_all(nm.add(a, b)), nm.sum_all(tripled))
+        tape.backward(loss)
+        assert a.grad.tolist() == [4.0] and b.grad.tolist() == [1.0]
 
     def test_deterministic_bitwise(self, rng):
         data = rng.normal(size=(6, 6))

@@ -115,6 +115,79 @@ class TestForward:
         assert not np.isclose(left.mean(), right.mean(), atol=1e-12)
 
 
+def per_crop_loss(state, crops, targets, ratio):
+    """Reference training loss: one N=1 forward per crop, summed in order."""
+    total = nm.Tensor(0.0)
+    for img, mos in zip(crops, targets):
+        pooled, _ = pl.forward(img, state, ratio)
+        diff = nm.sub(pooled, nm.Tensor(float(mos)))
+        total = nm.add(total, nm.mul(diff, diff))
+    return nm.scale(total, 1.0 / len(crops))
+
+
+def loss_and_grads(state, loss_fn):
+    state.zero_grads()
+    with nm.GradTape() as tape:
+        loss = loss_fn()
+    tape.backward(loss)
+    return loss.item(), {k: v.grad.copy() for k, v in state.params.items()}
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("variant", ["cl-iqa", "cs-iqa"])
+    def test_batch_matches_per_crop_loop(self, rng, variant):
+        cfg = pl.ModelConfig(variant=variant, ratio=0.1, init_std=0.2, seed=8)  # desk geometry
+        state = pl.init_model(cfg)
+        crops = rng.random((8, cfg.crop_size, cfg.crop_size))
+        mos = rng.random(8)
+
+        def batched():
+            scores, _ = pl.forward(crops, state, cfg.ratio)
+            diff = nm.sub(scores, nm.Tensor(mos))
+            return nm.mean_all(nm.mul(diff, diff))
+
+        loss, grads = loss_and_grads(state, batched)
+        ref_loss, ref_grads = loss_and_grads(
+            state, lambda: per_crop_loss(state, crops, mos, cfg.ratio))
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        # The key-bias gradients are zero in exact arithmetic (softmax ignores
+        # a per-row shift), so both sides hold only rounding noise there; a
+        # floor of 1e-6 of the largest gradient keeps the relative test
+        # meaningful for them.
+        floor = 1e-6 * max(np.max(np.abs(g)) for g in ref_grads.values())
+        for name, ref in ref_grads.items():
+            scale = max(np.max(np.abs(ref)), floor)
+            assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * scale, name
+
+    def test_batch_scores_and_diagnostics_per_sample(self, rng):
+        cfg = pl.ModelConfig(**TINY, seed=3)
+        state = pl.init_model(cfg)
+        crops = rng.random((3, 8, 8))
+        scores, diag = pl.forward(crops, state, 0.5)
+        assert scores.shape == (3,)
+        assert diag["token_weights"].shape == (3, 4)
+        for i, img in enumerate(crops):
+            one, one_diag = pl.forward(img, state, 0.5)
+            assert one.shape == (1,)
+            assert abs(scores.data[i] - one.item()) <= 1e-12 * abs(one.item())
+            assert np.allclose(diag["token_weights"][i], one_diag["token_weights"][0],
+                               rtol=1e-12, atol=0.0)
+
+    # Scores of the unbatched per-image forward for these seeds, so the N=1
+    # case of the batched code is held to the single-image result.
+    @pytest.mark.parametrize("variant, ratio, expected", [
+        ("cl-iqa", 0.1, 0.0010548170489337865),
+        ("cs-iqa", 0.5, 0.0008059137709241162),
+    ])
+    def test_single_image_keeps_pinned_score(self, variant, ratio, expected):
+        state = pl.init_model(pl.ModelConfig(variant=variant, ratio=ratio, seed=5))
+        img = np.random.default_rng(11).random((32, 32))
+        single, _ = pl.forward(img, state, ratio)
+        stacked, _ = pl.forward(img[None], state, ratio)
+        assert abs(single.item() - expected) <= 1e-12 * abs(expected)
+        assert single.item() == stacked.item()
+
+
 class TestTraining:
     def test_zero_lr_leaves_parameters_unchanged(self, tiny_manifest):
         cfg = pl.ModelConfig(**TINY, seed=0)
