@@ -8,8 +8,10 @@ Layout (all little-endian):
     blob*   u16 name length, name utf-8, u64 payload length, payload
     crc     u32      zlib.crc32 of everything before it
 
-The CRC is verified before any content is interpreted, so a failed load
-never yields partial state. Blob order is preserved exactly, which makes
+The blob headers are parsed before the CRC is compared, so a truncated or
+malformed file can fail with a format error first; either way no blob is
+returned unless the CRC matches, so a failed load never yields partial
+state. Blob order is preserved exactly, which makes
 save -> load -> save byte-identical.
 """
 

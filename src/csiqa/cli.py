@@ -62,7 +62,11 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def resolve_settings(args, spec: dict[str, tuple]) -> dict:
-    """Merge flag > config file > default for every known setting."""
+    """Merge flag > config file > default for every known setting.
+
+    A callable default (the env-var seed) is called only when neither the
+    flag nor the config file sets the key.
+    """
     file_cfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
     unknown = set(file_cfg) - set(spec)
     if unknown:
@@ -80,7 +84,7 @@ def resolve_settings(args, spec: dict[str, tuple]) -> dict:
                     f"config file value for {key} is not a valid "
                     f"{caster.__name__}: {file_cfg[key]!r}") from None
         else:
-            resolved[key] = default
+            resolved[key] = default() if callable(default) else default
     return resolved
 
 
@@ -127,7 +131,7 @@ def cmd_pretrain(args) -> int:
         "lr": (1e-2, float),
         "block_size": (4, int),
         "width": (16, int),
-        "seed": (_env_seed(), int),
+        "seed": (_env_seed, int),
     }
     s = resolve_settings(args, spec)
     ratio = _parse_ratio(str(s["ratio"]))
@@ -165,7 +169,7 @@ def cmd_train(args) -> int:
         "weight_decay": (1e-5, float),
         "epochs": (100, int),
         "steps": (0, int),
-        "seed": (_env_seed(), int),
+        "seed": (_env_seed, int),
     }
     s = resolve_settings(args, spec)
     ratio = _parse_ratio(str(s["ratio"]))
@@ -213,7 +217,7 @@ def cmd_eval(args) -> int:
     spec = {
         "ratio": (None, str),
         "crops": (5, int),
-        "seed": (_env_seed(), int),
+        "seed": (_env_seed, int),
     }
     s = resolve_settings(args, spec)
     ratio = None if s["ratio"] is None else _parse_ratio(str(s["ratio"]))
@@ -239,7 +243,7 @@ def cmd_score(args) -> int:
     spec = {
         "ratio": (None, str),
         "crops": (5, int),
-        "seed": (_env_seed(), int),
+        "seed": (_env_seed, int),
     }
     s = resolve_settings(args, spec)
     ratio = None if s["ratio"] is None else _parse_ratio(str(s["ratio"]))
@@ -259,7 +263,7 @@ def cmd_score(args) -> int:
 def cmd_weight_map(args) -> int:
     spec = {
         "ratio": (None, str),
-        "seed": (_env_seed(), int),
+        "seed": (_env_seed, int),
     }
     s = resolve_settings(args, spec)
     ratio = None if s["ratio"] is None else _parse_ratio(str(s["ratio"]))
@@ -285,7 +289,7 @@ def cmd_make_toy(args) -> int:
         "count": (32, int),
         "size": (40, int),
         "kind": ("noise", str),
-        "seed": (_env_seed(), int),
+        "seed": (_env_seed, int),
     }
     s = resolve_settings(args, spec)
     s["out"] = args.out

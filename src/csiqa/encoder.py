@@ -194,11 +194,11 @@ def window_msa(
     order, inverse = window_permutation(
         grid.blocks_h, grid.blocks_w, window, shift, n // grid.num_blocks)
     area = window * window
-    xw = nm.gather_rows(x, order)
+    xw = nm.permute_rows(x, order, inverse)
     q, k, v = (_split_heads(t, n // area, area, heads) for t in _project_qkv(xw, p))
     out, weights = _batched_attention(q, k, v, d // heads, return_weights)
     projected = nm.affine(_merge_heads(out, (n, d)), p["attn.wo"], p["attn.ob"])
-    result = nm.gather_rows(projected, inverse)
+    result = nm.permute_rows(projected, inverse, order)
     return (result, weights) if return_weights else result
 
 

@@ -1,9 +1,10 @@
-"""Index plumbing for operations on 2-D grids of tokens or pixels.
+"""Operations on 2-D grids of tokens or pixels, N grids stacked row-wise.
 
-All index arrays here are pure functions of geometry, cached, and must be
-treated as read-only. Differentiable grid ops are built by combining these
-indices with ``gather_rows``/``reshape``/``affine`` so no extra backward
-rules are needed.
+Window attention reorders tokens by a cached permutation and its inverse
+(``window_permutation``), whose backward through ``numerics.permute_rows``
+is a gather by the inverse. The 3x3 convolution is an im2col
+(``numerics.im2col3x3``, whose backward is nine shifted slice-adds)
+followed by one ``affine``. Neither needs a scatter.
 """
 
 from __future__ import annotations
@@ -18,47 +19,11 @@ from .errors import ShapeError
 
 def _per_sample(index: np.ndarray, batch: int, rows: int) -> np.ndarray:
     """Repeat a one-sample row index over ``batch`` samples stacked ``rows``
-    apart, offsetting each copy into its own sample; -1 stays -1."""
+    apart, offsetting each copy into its own sample."""
     if batch == 1:
         return index
     offsets = rows * np.arange(batch, dtype=np.int64)[:, None]
-    return np.where(index >= 0, index + offsets, -1).reshape(-1)
-
-
-@lru_cache(maxsize=256)
-def conv3x3_index(height: int, width: int, batch: int = 1) -> np.ndarray:
-    """Row indices selecting each position's 3x3 neighborhood, -1 = zero pad.
-
-    Position-major, neighborhood scanned row by row, so a gather followed by
-    a reshape to (batch*height*width, 9*channels) lines up with kernel
-    weights laid out neighbor-major, channel-minor. Samples are stacked
-    row-wise, each ``height*width`` rows, and never see each other's pixels.
-    """
-    idx = np.full((height, width, 3, 3), -1, dtype=np.int64)
-    rows = np.arange(height)[:, None, None, None]
-    cols = np.arange(width)[None, :, None, None]
-    dr = np.arange(-1, 2)[None, None, :, None]
-    dc = np.arange(-1, 2)[None, None, None, :]
-    rr, cc = rows + dr, cols + dc
-    inside = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width)
-    idx[inside] = (rr * width + cc)[inside]
-    return _per_sample(idx.reshape(-1), batch, height * width)
-
-
-@lru_cache(maxsize=256)
-def block_pixel_index(blocks_h: int, blocks_w: int, block_size: int) -> np.ndarray:
-    """Map flattened per-block pixels back to row-major image pixels.
-
-    Entry p gives the row in a (L*B^2, 1) stack of flattened blocks that
-    holds image pixel p.
-    """
-    b = block_size
-    h, w = blocks_h * b, blocks_w * b
-    r = np.arange(h)[:, None]
-    c = np.arange(w)[None, :]
-    block = (r // b) * blocks_w + (c // b)
-    offset = (r % b) * b + (c % b)
-    return (block * b * b + offset).reshape(-1)
+    return (index + offsets).reshape(-1)
 
 
 @lru_cache(maxsize=256)
@@ -68,7 +33,7 @@ def window_permutation(
     """Token order grouping a (cyclically shifted) grid into square windows.
 
     Returns (order, inverse): ``order`` lists token indices window by window;
-    ``inverse`` undoes it, so gathering with ``order`` then ``inverse``
+    ``inverse`` undoes it, so reordering by ``order`` then ``inverse``
     restores the original token sequence. With ``batch`` samples stacked
     row-wise, each sample's windows follow the previous sample's.
     """
@@ -96,11 +61,8 @@ def conv3x3(x: nm.Tensor, height: int, width: int, weight: nm.Tensor, bias: nm.T
     x is (N*height*width, C_in), N grids stacked row-wise; weight is
     (9*C_in, C_out), neighbor-major.
     """
-    n, c_in = x.shape
-    if n % (height * width):
-        raise ShapeError(f"{n} tokens do not fill whole {height}x{width} grids")
-    if weight.shape[0] != 9 * c_in:
-        raise ShapeError(f"kernel expects {weight.shape[0] // 9} channels, tokens have {c_in}")
-    gathered = nm.gather_rows(x, conv3x3_index(height, width, n // (height * width)))
-    stacked = nm.reshape(gathered, (n, 9 * c_in))
-    return nm.affine(stacked, weight, bias)
+    cols = nm.im2col3x3(x, height, width)
+    if weight.shape[0] != cols.shape[1]:
+        raise ShapeError(
+            f"kernel expects {weight.shape[0] // 9} channels, tokens have {x.shape[1]}")
+    return nm.affine(cols, weight, bias)

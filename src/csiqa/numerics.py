@@ -393,6 +393,62 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     return _make(out, (x,), backprop)
 
 
+def permute_rows(x: Tensor, order: np.ndarray, inverse: np.ndarray) -> Tensor:
+    """Reorder rows: output row i is ``x[order[i]]``.
+
+    ``inverse`` must be the inverse permutation (``inverse[order[i]] == i``);
+    the backward is then the gather ``g[inverse]``, with no scatter.
+    """
+    x = as_tensor(x)
+    if x.ndim != 2:
+        raise ShapeError(f"permute_rows expects rank 2, got {x.shape}")
+    if order.shape != (x.shape[0],) or inverse.shape != (x.shape[0],):
+        raise ShapeError(
+            f"permutation shapes {order.shape} and {inverse.shape} do not match "
+            f"{x.shape[0]} rows")
+
+    def backprop(g):
+        if x.requires_grad:
+            _accumulate(x, g[inverse])
+
+    return _make(x.data[order], (x,), backprop)
+
+
+def im2col3x3(x: Tensor, height: int, width: int) -> Tensor:
+    """Zero-padded 3x3 neighbourhood of every position of stacked grids.
+
+    ``x`` is (N*height*width, C): N grids stacked row-wise, each row-major.
+    Returns (N*height*width, 9*C), one row per position holding its nine
+    neighbours row by row (neighbour-major, channel-minor); neighbours
+    outside a grid read as zero, and grids never see each other's pixels.
+    The backward adds nine shifted slices into a zero-padded buffer.
+    """
+    x = as_tensor(x)
+    if x.ndim != 2:
+        raise ShapeError(f"im2col3x3 expects rank 2, got {x.shape}")
+    n, c = x.shape
+    if n % (height * width):
+        raise ShapeError(f"{n} rows do not fill whole {height}x{width} grids")
+    batch = n // (height * width)
+    padded = np.zeros((batch, height + 2, width + 2, c))
+    padded[:, 1:-1, 1:-1] = x.data.reshape(batch, height, width, c)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
+    out = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, 9 * c)
+
+    def backprop(g):
+        if x.requires_grad:
+            g = g.reshape(batch, height, width, 9, c)
+            gp = np.zeros((batch, height + 2, width + 2, c))
+            # Neighbour 8 first: the order in which a scatter over
+            # position-major rows reaches each pixel, so sums round alike.
+            for k in range(8, -1, -1):
+                dr, dc = divmod(k, 3)
+                gp[:, dr:dr + height, dc:dc + width] += g[:, :, :, k]
+            _accumulate(x, gp[:, 1:-1, 1:-1].reshape(n, c))
+
+    return _make(out, (x,), backprop)
+
+
 def _concat(parts: Iterable[Tensor], axis: int) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     if not parts:

@@ -167,8 +167,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Inverse of ``to_dict``; every field must be present, and no other key."""
+        fields = set(cls.__dataclass_fields__)
+        unknown, missing = sorted(set(d) - fields), sorted(fields - set(d))
+        if unknown or missing:
+            raise ContractError(f"model config has unknown keys {unknown}, missing keys {missing}")
         d = dict(d)
-        d["ratio_set"] = tuple(d.get("ratio_set", DEFAULT_RATIO_SET))
+        d["ratio_set"] = tuple(d["ratio_set"])
         return cls(**d)
 
     @classmethod
@@ -320,6 +325,11 @@ def evaluate(
     """Correlations on the seeded test split of a full manifest."""
     _, test = split_records(records, state.config.seed)
     scores = predict_records(test, state, ratio, n_crops, seed)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise NumericalDivergenceError(
+            f"{bad.size} of {len(test)} test images scored non-finite, "
+            f"the first {test[bad[0]].path}")
     mos = np.array([r.mos for r in test])
     return {
         "plcc": plcc(scores, mos),
@@ -524,22 +534,39 @@ def save_model(
     write_checkpoint(path, blobs)
 
 
+def _json_blob(blobs: dict[str, bytes], name: str, path):
+    try:
+        return json.loads(blobs[name].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointFormatError(f"{path}: blob {name} is not valid JSON: {e}") from None
+
+
 def load_model(path) -> LoadedCheckpoint:
+    """Read a model checkpoint, checking its config and every parameter's
+    name and shape against a freshly initialized model of that config."""
     blobs = dict(read_checkpoint(path))
     if "meta/config" not in blobs:
         raise CheckpointFormatError(f"{path}: missing meta/config blob")
-    meta = json.loads(blobs["meta/config"].decode("utf-8"))
-    if meta.get("kind") != "model":
-        raise CheckpointFormatError(
-            f"{path}: checkpoint kind {meta.get('kind')!r} is not a model")
-    cfg = ModelConfig.from_dict(meta["config"])
-    reference = init_model(cfg)
+    meta = _json_blob(blobs, "meta/config", path)
+    kind = meta.get("kind") if isinstance(meta, dict) else None
+    if kind != "model":
+        raise CheckpointFormatError(f"{path}: checkpoint kind {kind!r} is not a model")
+    try:
+        cfg = ModelConfig.from_dict(meta.get("config"))
+        reference = init_model(cfg)
+    except (TypeError, ValueError) as e:  # ContractError is a ValueError
+        raise CheckpointFormatError(f"{path}: invalid model config: {e}") from None
     params = {}
-    for name in reference.params:
+    for name, expected in reference.params.items():
         key = f"param/{name}"
         if key not in blobs:
             raise CheckpointFormatError(f"{path}: missing parameter blob {key}")
-        params[name] = nm.Tensor(array_from_bytes(blobs[key]), requires_grad=True)
+        data = array_from_bytes(blobs[key])
+        if data.shape != expected.shape:
+            raise CheckpointFormatError(
+                f"{path}: parameter {name} has shape {data.shape}, "
+                f"the config needs {expected.shape}")
+        params[name] = nm.Tensor(data, requires_grad=True)
     state = ModelState(cfg, params)
 
     optimizer = None
@@ -551,12 +578,12 @@ def load_model(path) -> LoadedCheckpoint:
 
     rng = None
     if "rng/train" in blobs:
-        payload = json.loads(blobs["rng/train"].decode("utf-8"))
+        payload = _json_blob(blobs, "rng/train", path)
         bit_gen = np.random.PCG64()
         bit_gen.state = payload
         rng = np.random.Generator(bit_gen)
 
-    history = json.loads(blobs.get("meta/history", b"{}").decode("utf-8"))
+    history = _json_blob(blobs, "meta/history", path) if "meta/history" in blobs else {}
     return LoadedCheckpoint(state, optimizer, rng, history)
 
 

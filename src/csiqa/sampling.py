@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import ContractError, ShapeError
-from .gridops import block_pixel_index, conv3x3
+from .gridops import conv3x3
 
 # Guard against float fuzz like 0.3*100 = 30.000000000000004 before ceiling.
 _RATIO_FUZZ = 1e-9
@@ -242,7 +242,12 @@ def init_reconstructor(
 
 
 def csnet_reconstruct(rec: CsnetReconstructor, meas: MeasurementSet) -> nm.Tensor:
-    """Reconstruct the padded image from measurements; fully differentiable."""
+    """Reconstruct the padded images from measurements; fully differentiable.
+
+    Returns (H, W) for one image's measurements, (N, H, W) for N images.
+    Blocks are laid back onto the pixel grid by a reshape and an axis
+    permutation, so the backward is a transposition, not a scatter.
+    """
     if meas.grid.block_size != rec.block_size:
         raise ContractError(
             f"reconstructor block size {rec.block_size} vs measurements "
@@ -253,15 +258,16 @@ def csnet_reconstruct(rec: CsnetReconstructor, meas: MeasurementSet) -> nm.Tenso
             f"got {meas.measurement_length}")
     grid = meas.grid
     h, w = grid.padded_shape
+    b = grid.block_size
     p = rec.params
     blocks_hat = nm.affine(meas.values, p["init.w"], p["init.b"])
-    flat = nm.reshape(blocks_hat, (blocks_hat.size, 1))
-    pixels = nm.gather_rows(
-        flat, block_pixel_index(grid.blocks_h, grid.blocks_w, grid.block_size))
+    blocks_hat = nm.reshape(blocks_hat, (meas.batch, grid.blocks_h, grid.blocks_w, b, b))
+    pixels = nm.reshape(nm.permute(blocks_hat, (0, 1, 3, 2, 4)), (blocks_hat.size, 1))
     x = nm.relu(conv3x3(pixels, h, w, p["conv1.w"], p["conv1.b"]))
     x = nm.relu(conv3x3(x, h, w, p["conv2.w"], p["conv2.b"]))
     residual = conv3x3(x, h, w, p["conv3.w"], p["conv3.b"])
-    return nm.reshape(nm.add(pixels, residual), (h, w))
+    shape = (h, w) if meas.batch == 1 else (meas.batch, h, w)
+    return nm.reshape(nm.add(pixels, residual), shape)
 
 
 def pretrain_csm(

@@ -6,7 +6,7 @@ import pytest
 from csiqa.checkpoint import read_checkpoint
 from csiqa.cli import main
 from csiqa.data import generate_toy_dataset
-from csiqa.pipeline import load_model, load_pretrained_csm
+from csiqa.pipeline import load_model, load_pretrained_csm, save_model
 from csiqa.pnm import read_image
 from csiqa.sampling import random_sampling_matrix
 
@@ -162,6 +162,17 @@ class TestEval:
         assert "bypass" in capsys.readouterr().err
 
 
+    def test_nan_parameter_exits_3(self, toyset, trained_ckpt, tmp_path, capsys):
+        loaded = load_model(trained_ckpt)
+        loaded.state.params["head.score.b2"].data[...] = np.nan
+        bad = str(tmp_path / "nan.ckpt")
+        save_model(bad, loaded.state)
+        code = main(["eval", "--manifest", toyset["manifest"], "--ckpt", bad, "--crops", "1"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err and "PLCC=" not in captured.out
+
+
 class TestScore:
     def test_prints_score_and_is_deterministic(self, toyset, trained_ckpt, capsys):
         code = main(["score", "--image", toyset["image"], "--ckpt", trained_ckpt,
@@ -226,6 +237,14 @@ class TestConfigFileAndSeeds:
         assert main(["make-toy", "--out", str(tmp_path / "gen"), "--count", "4"]) == 2
         assert "CSIQA_SEED" in capsys.readouterr().err
         assert not (tmp_path / "gen").exists()
+
+    def test_bad_env_seed_ignored_when_seed_flag_given(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CSIQA_SEED", "abc")
+        out = tmp_path / "gen"
+        assert main(["make-toy", "--out", str(out), "--count", "4", "--size", "16",
+                     "--seed", "3"]) == 0
+        assert "# seed = 3" in capsys.readouterr().out
+        assert (out / "manifest.csv").exists()
 
     def test_make_toy_subcommand(self, tmp_path, capsys):
         out = str(tmp_path / "gen")

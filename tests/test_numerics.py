@@ -208,6 +208,33 @@ class TestStructuralOps:
         tape.backward(loss)
         assert np.array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
+    def test_permute_rows_then_inverse_restores_rows(self, rng):
+        x = nm.Tensor(rng.normal(size=(6, 2)))
+        order = rng.permutation(6)
+        inverse = np.argsort(order)
+        y = nm.permute_rows(x, order, inverse)
+        assert np.array_equal(y.data, x.data[order])
+        assert np.array_equal(nm.permute_rows(y, inverse, order).data, x.data)
+        with pytest.raises(ShapeError):
+            nm.permute_rows(x, order[:5], inverse[:5])
+
+    def test_im2col3x3_matches_neighbour_loop(self, rng):
+        batch, height, width, c = 2, 3, 4, 2
+        x = rng.normal(size=(batch, height, width, c))
+        out = nm.im2col3x3(nm.Tensor(x.reshape(-1, c)), height, width).data
+        expected = np.zeros((batch, height, width, 3, 3, c))
+        for n in range(batch):
+            for r in range(height):
+                for col in range(width):
+                    for dr in range(3):
+                        for dc in range(3):
+                            rr, cc = r + dr - 1, col + dc - 1
+                            if 0 <= rr < height and 0 <= cc < width:
+                                expected[n, r, col, dr, dc] = x[n, rr, cc]
+        assert np.array_equal(out, expected.reshape(-1, 9 * c))
+        with pytest.raises(ShapeError):
+            nm.im2col3x3(nm.Tensor(np.zeros((10, c))), height, width)
+
     def test_concat_and_slice_roundtrip(self, rng):
         a = nm.Tensor(rng.normal(size=(2, 3)))
         b = nm.Tensor(rng.normal(size=(4, 3)))
@@ -226,10 +253,12 @@ class TestStructuralOps:
 
 
 @pytest.mark.parametrize("op_name", ["add", "sub", "mul", "div", "softmax", "layer_norm",
-                                     "gelu", "relu", "sigmoid", "bmm", "affine", "gather"])
+                                     "gelu", "relu", "sigmoid", "bmm", "affine", "gather",
+                                     "permute_rows", "im2col3x3"])
 def test_gradients_match_finite_differences(op_name, rng):
     """Every differentiable primitive vs central differences on 3 random shapes."""
-    shapes = [(3,), (2, 4), (3, 2, 2)] if op_name not in ("bmm", "affine", "gather") else [(0,)] * 3
+    structured = ("bmm", "affine", "gather", "permute_rows", "im2col3x3")
+    shapes = [(3,), (2, 4), (3, 2, 2)] if op_name not in structured else [(0,)] * 3
     for trial in range(3):
         if op_name == "bmm":
             a = nm.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
@@ -247,6 +276,17 @@ def test_gradients_match_finite_differences(op_name, rng):
             idx = np.array([4, -1, 2, 2, 0])
             params = [x]
             fwd = lambda: nm.sum_all(nm.sigmoid(nm.gather_rows(x, idx)))
+        elif op_name == "permute_rows":
+            x = nm.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+            order = rng.permutation(5)
+            inverse = np.argsort(order)
+            params = [x]
+            fwd = lambda: nm.sum_all(nm.sigmoid(nm.permute_rows(x, order, inverse)))
+        elif op_name == "im2col3x3":
+            x = nm.Tensor(rng.normal(size=(2 * 3 * 4, 2)), requires_grad=True)
+            readout = nm.Tensor(rng.normal(size=(24, 18)))
+            params = [x]
+            fwd = lambda: nm.sum_all(nm.sigmoid(nm.mul(nm.im2col3x3(x, 3, 4), readout)))
         else:
             shape = shapes[trial]
             x = nm.Tensor(rng.normal(size=shape), requires_grad=True)

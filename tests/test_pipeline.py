@@ -3,10 +3,11 @@ import pytest
 
 from csiqa import numerics as nm
 from csiqa import pipeline as pl
+from csiqa.checkpoint import array_to_bytes, read_checkpoint, write_checkpoint
 from csiqa.data import generate_toy_dataset, read_manifest
 from csiqa.embedding import PositionalTable, add_position
 from csiqa.encoder import encode, subset, window_refine
-from csiqa.errors import ContractError, NumericalDivergenceError
+from csiqa.errors import CheckpointFormatError, ContractError, NumericalDivergenceError
 from csiqa.head import score as head_score
 from csiqa.sampling import split_blocks
 
@@ -266,6 +267,39 @@ class TestPersistence:
             assert np.array_equal(resumed.state.params[name].data,
                                   straight.state.params[name].data), name
 
+    @pytest.mark.parametrize("config_blob,message", [
+        (b'{"kind":"model","config":{', "not valid JSON"),
+        (b'{"kind":"model","config":{"variant":"cl-iqa"}}', "missing keys"),
+        (None, "unknown keys ['bogus']"),
+    ])
+    def test_bad_config_is_format_error(self, tmp_path, config_blob, message):
+        state = pl.init_model(pl.ModelConfig(**TINY))
+        good = tmp_path / "good.ckpt"
+        pl.save_model(good, state)
+        if config_blob is None:
+            config = dict(state.config.to_dict(), bogus=1)
+            config_blob = pl._json_bytes({"kind": "model", "config": config})
+        blobs = [(name, config_blob if name == "meta/config" else payload)
+                 for name, payload in read_checkpoint(good)]
+        bad = tmp_path / "bad.ckpt"
+        write_checkpoint(bad, blobs)
+        with pytest.raises(CheckpointFormatError) as e:
+            pl.load_model(bad)
+        assert message in str(e.value)
+
+    def test_wrong_parameter_shape_is_format_error(self, tmp_path):
+        state = pl.init_model(pl.ModelConfig(**TINY))
+        good = tmp_path / "good.ckpt"
+        pl.save_model(good, state)
+        blobs = [(name, array_to_bytes(np.zeros((3, 5))) if name == "param/head.score.w1"
+                  else payload) for name, payload in read_checkpoint(good)]
+        bad = tmp_path / "bad.ckpt"
+        write_checkpoint(bad, blobs)
+        with pytest.raises(CheckpointFormatError) as e:
+            pl.load_model(bad)
+        expected = state.params["head.score.w1"].shape
+        assert f"head.score.w1 has shape (3, 5), the config needs {expected}" in str(e.value)
+
     def test_csm_checkpoint_initializes_sampling_matrix(self, tmp_path, tiny_manifest, rng):
         from csiqa.sampling import pretrain_csm
         corpus = [rng.random((8, 8)) for _ in range(2)]
@@ -303,6 +337,12 @@ class TestEvaluation:
         assert -1.0 <= out["plcc"] <= 1.0
         assert -1.0 <= out["srcc"] <= 1.0
         assert out["n_images"] == len(out["scores"]) == len(out["mos"])
+
+    def test_non_finite_score_raises(self, tiny_manifest):
+        state = pl.init_model(pl.ModelConfig(**TINY, seed=0))
+        state.params["head.score.b2"].data[...] = np.nan
+        with pytest.raises(NumericalDivergenceError, match="non-finite"):
+            pl.evaluate(tiny_manifest, state, ratio=0.5, n_crops=1)
 
     def test_perfect_and_inverted_predictions(self):
         mos = np.array([0.1, 0.4, 0.3, 0.9, 0.7])

@@ -170,6 +170,27 @@ class TestReconstructor:
         expected = sp.merge_blocks(np.tile(bias, (4, 1)), grid)
         assert np.max(np.abs(out.data - expected)) <= 1e-12
 
+    def test_blocks_land_in_merge_blocks_layout(self, rng):
+        # the last refiner layer starts at zero, so a fresh reconstructor
+        # returns its per-block linear expansion laid out as an image
+        rec = sp.init_reconstructor(4, 0.25, rng, width=4)
+        grid = sp.BlockGrid(2, 3, 4)
+        values = rng.normal(size=(6, 4))
+        out = sp.csnet_reconstruct(rec, sp.MeasurementSet(nm.Tensor(values), grid, 0.25))
+        blocks = values @ rec.params["init.w"].data + rec.params["init.b"].data
+        assert np.array_equal(out.data, sp.merge_blocks(blocks, grid))
+
+    def test_batch_reconstructs_each_image(self, rng):
+        rec = sp.init_reconstructor(4, 0.25, rng, width=4)
+        rec.params["conv3.w"] = nm.Tensor(rng.normal(size=(36, 1)), requires_grad=True)
+        imgs = rng.random((2, 8, 12))
+        matrix = sp.random_sampling_matrix(4, rng)
+        both = sp.csnet_reconstruct(rec, sp.sample(matrix, imgs, 0.25)).data
+        assert both.shape == (2, 8, 12)
+        for img, out in zip(imgs, both):
+            single = sp.csnet_reconstruct(rec, sp.sample(matrix, img, 0.25)).data
+            assert np.max(np.abs(out - single)) <= 1e-12
+
     def test_identity_configuration_is_lossless(self, rng):
         b = 4
         rec = sp.init_reconstructor(b, 1.0, rng, width=8)
