@@ -194,6 +194,10 @@ def cmd_train(args) -> int:
         batch=s["batch"], lr=s["lr"], weight_decay=s["weight_decay"],
         steps=s["steps"] or None, epochs=None if s["steps"] else s["epochs"])
     result = train(records, cfg, settings, csm_checkpoint=args.csm)
+    if args.csm is not None:
+        _, _, csm_meta, _ = load_pretrained_csm(args.csm)
+        print(f"# initialized sampling matrix from {args.csm} "
+              f"(pretrained at ratio {csm_meta['ratio']})")
     if result.history["val"]:
         best_step = result.history.get("best_step")
         best_entry = next((e for e in result.history["val"] if e["step"] == best_step), None)

@@ -60,7 +60,9 @@ from .errors import (
 from .head import init_head_params, score as head_score
 from .metrics import plcc, srcc
 from .sampling import (
+    CsnetReconstructor,
     SamplingMatrix,
+    init_reconstructor,
     measurement_count,
     random_sampling_matrix,
     sample,
@@ -278,20 +280,20 @@ def predict_image(
     n_crops: int = 5,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Mean score over seeded random crops (the five-crop protocol)."""
+    """Mean score over seeded random crops (the five-crop protocol).
+
+    The crops are drawn in order from ``rng`` and scored as one batched
+    forward; their scores are summed in crop order.
+    """
     cfg = state.config
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
     img = pad_to_size(np.asarray(img, dtype=np.float64), cfg.crop_size, cfg.crop_size)
+    crops = np.stack([random_crop(img, cfg.crop_size, rng) for _ in range(n_crops)])
+    pooled, _ = forward(crops, state, ratio)
     total = 0.0
-    # One N=1 forward per crop: without a tape, a five-crop batch measured
-    # slower, since each op then writes fresh arrays of a few hundred KB
-    # whose pages fault in again, which costs more than the saved per-op
-    # overhead.
-    for _ in range(n_crops):
-        crop = random_crop(img, cfg.crop_size, rng)
-        pooled, _ = forward(crop, state, ratio)
-        total += pooled.item()
+    for score in pooled.data.tolist():  # not sum(): it compensates from Python 3.12
+        total += score
     return total / n_crops
 
 
@@ -419,14 +421,12 @@ def train(
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
         history = {"loss": [], "val": [], "best_step": None}
         if csm_checkpoint is not None:
-            matrix, _, meta, _ = load_pretrained_csm(csm_checkpoint)
+            matrix, _, _, _ = load_pretrained_csm(csm_checkpoint)
             if matrix.block_size != cfg.block_size:
                 raise ContractError(
                     f"pretrained sampling matrix has block size {matrix.block_size}, "
                     f"model uses {cfg.block_size}")
             state.params["csm.phi"].data[...] = matrix.matrix.data
-            print(f"# initialized sampling matrix from {csm_checkpoint} "
-                  f"(pretrained at ratio {meta['ratio']})")
 
     params = state.parameters()
     steps_per_epoch = max(1, math.ceil(len(train_recs) / settings.batch))
@@ -541,46 +541,75 @@ def _json_blob(blobs: dict[str, bytes], name: str, path):
         raise CheckpointFormatError(f"{path}: blob {name} is not valid JSON: {e}") from None
 
 
+def _meta_blob(blobs: dict[str, bytes], kind: str, path) -> dict:
+    """The ``meta/config`` object, which must declare checkpoint ``kind``."""
+    if "meta/config" not in blobs:
+        raise CheckpointFormatError(f"{path}: missing meta/config blob")
+    meta = _json_blob(blobs, "meta/config", path)
+    found = meta.get("kind") if isinstance(meta, dict) else None
+    if found != kind:
+        raise CheckpointFormatError(f"{path}: checkpoint kind {found!r} is not {kind!r}")
+    return meta
+
+
+def _array_blob(blobs: dict[str, bytes], name: str, shape: tuple[int, ...], path):
+    if name not in blobs:
+        raise CheckpointFormatError(f"{path}: missing blob {name}")
+    try:
+        data = array_from_bytes(blobs[name])
+    except CheckpointFormatError as e:
+        raise CheckpointFormatError(f"{path}: blob {name}: {e}") from None
+    if data.shape != shape:
+        raise CheckpointFormatError(
+            f"{path}: blob {name} has shape {data.shape}, the config needs {shape}")
+    return data
+
+
+def _param_blobs(blobs: dict[str, bytes], prefix: str, reference: dict[str, nm.Tensor],
+                 path) -> dict[str, nm.Tensor]:
+    """The parameters stored under ``prefix``: exactly the names of
+    ``reference``, each with its shape."""
+    extra = sorted(n for n in blobs if n.startswith(prefix) and n[len(prefix):] not in reference)
+    if extra:
+        raise CheckpointFormatError(f"{path}: unexpected parameter blobs {extra}")
+    return {name: nm.Tensor(_array_blob(blobs, prefix + name, p.shape, path), requires_grad=True)
+            for name, p in reference.items()}
+
+
 def load_model(path) -> LoadedCheckpoint:
     """Read a model checkpoint, checking its config and every parameter's
     name and shape against a freshly initialized model of that config."""
     blobs = dict(read_checkpoint(path))
-    if "meta/config" not in blobs:
-        raise CheckpointFormatError(f"{path}: missing meta/config blob")
-    meta = _json_blob(blobs, "meta/config", path)
-    kind = meta.get("kind") if isinstance(meta, dict) else None
-    if kind != "model":
-        raise CheckpointFormatError(f"{path}: checkpoint kind {kind!r} is not a model")
+    meta = _meta_blob(blobs, "model", path)
     try:
         cfg = ModelConfig.from_dict(meta.get("config"))
         reference = init_model(cfg)
     except (TypeError, ValueError) as e:  # ContractError is a ValueError
         raise CheckpointFormatError(f"{path}: invalid model config: {e}") from None
-    params = {}
-    for name, expected in reference.params.items():
-        key = f"param/{name}"
-        if key not in blobs:
-            raise CheckpointFormatError(f"{path}: missing parameter blob {key}")
-        data = array_from_bytes(blobs[key])
-        if data.shape != expected.shape:
-            raise CheckpointFormatError(
-                f"{path}: parameter {name} has shape {data.shape}, "
-                f"the config needs {expected.shape}")
-        params[name] = nm.Tensor(data, requires_grad=True)
-    state = ModelState(cfg, params)
+    state = ModelState(cfg, _param_blobs(blobs, "param/", reference.params, path))
 
     optimizer = None
     if "opt/step" in blobs:
         optimizer = nm.AdamState()
-        (optimizer.step,) = struct.unpack("<Q", blobs["opt/step"])
-        optimizer.m = [array_from_bytes(blobs[f"opt/m/{n}"]) for n in state.params]
-        optimizer.v = [array_from_bytes(blobs[f"opt/v/{n}"]) for n in state.params]
+        try:
+            (optimizer.step,) = struct.unpack("<Q", blobs["opt/step"])
+        except struct.error:
+            raise CheckpointFormatError(
+                f"{path}: blob opt/step is not an 8-byte step count") from None
+        optimizer.m = [_array_blob(blobs, f"opt/m/{n}", p.shape, path)
+                       for n, p in reference.params.items()]
+        optimizer.v = [_array_blob(blobs, f"opt/v/{n}", p.shape, path)
+                       for n, p in reference.params.items()]
 
     rng = None
     if "rng/train" in blobs:
         payload = _json_blob(blobs, "rng/train", path)
         bit_gen = np.random.PCG64()
-        bit_gen.state = payload
+        try:
+            bit_gen.state = payload
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointFormatError(
+                f"{path}: blob rng/train is not a PCG64 state: {e!r}") from None
         rng = np.random.Generator(bit_gen)
 
     history = _json_blob(blobs, "meta/history", path) if "meta/history" in blobs else {}
@@ -604,22 +633,24 @@ def save_pretrained_csm(path, matrix, reconstructor, ratio: float, losses) -> No
 
 
 def load_pretrained_csm(path):
-    from .sampling import CsnetReconstructor
-
+    """Read a pretrained sampling checkpoint, checking its meta keys and
+    every parameter's name and shape against a freshly initialized
+    reconstructor of that geometry."""
     blobs = dict(read_checkpoint(path))
-    meta = json.loads(blobs["meta/config"].decode("utf-8"))
-    if meta.get("kind") != "csm-pretrain":
-        raise CheckpointFormatError(
-            f"{path}: checkpoint kind {meta.get('kind')!r} is not csm-pretrain")
-    matrix = SamplingMatrix(
-        nm.Tensor(array_from_bytes(blobs["param/csm.phi"]), requires_grad=True),
-        meta["block_size"])
-    rec_params = {}
-    prefix = "param/csnet."
-    for name, payload in blobs.items():
-        if name.startswith(prefix):
-            rec_params[name[len(prefix):]] = nm.Tensor(
-                array_from_bytes(payload), requires_grad=True)
-    rec = CsnetReconstructor(meta["block_size"], meta["ratio"], meta["width"], rec_params)
-    history = json.loads(blobs.get("meta/history", b"{}").decode("utf-8"))
+    meta = _meta_blob(blobs, "csm-pretrain", path)
+    missing = [k for k in ("block_size", "ratio", "width") if k not in meta]
+    if missing:
+        raise CheckpointFormatError(f"{path}: meta/config is missing keys {missing}")
+    block_size = meta["block_size"]
+    try:
+        reference = init_reconstructor(block_size, meta["ratio"], np.random.default_rng(0),
+                                       width=meta["width"])
+    except (TypeError, ValueError) as e:  # ContractError is a ValueError
+        raise CheckpointFormatError(f"{path}: invalid pretraining config: {e}") from None
+    side = block_size * block_size
+    phi = _array_blob(blobs, "param/csm.phi", (side, side), path)
+    matrix = SamplingMatrix(nm.Tensor(phi, requires_grad=True), block_size)
+    rec = CsnetReconstructor(block_size, meta["ratio"], meta["width"],
+                             _param_blobs(blobs, "param/csnet.", reference.params, path))
+    history = _json_blob(blobs, "meta/history", path) if "meta/history" in blobs else {}
     return matrix, rec, meta, history

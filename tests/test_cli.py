@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from csiqa.checkpoint import read_checkpoint
+from csiqa.checkpoint import read_checkpoint, write_checkpoint
 from csiqa.cli import main
 from csiqa.data import generate_toy_dataset
 from csiqa.pipeline import load_model, load_pretrained_csm, save_model
@@ -100,6 +100,14 @@ class TestTrain:
                      "--csm", csm_out, "--out", out, *TINY_TRAIN, "--seed", "3"])
         assert code == 0
         assert "initialized sampling matrix from" in capsys.readouterr().out
+
+    def test_malformed_csm_checkpoint_exits_2(self, toyset, tmp_path, capsys):
+        bad = str(tmp_path / "bad.ckpt")
+        write_checkpoint(bad, [("meta/config", b'{"kind":'), ("param/csm.phi", b"")])
+        code = main(["train", "--manifest", toyset["manifest"], "--ratio", "0.25",
+                     "--csm", bad, "--out", str(tmp_path / "m.ckpt"), *TINY_TRAIN])
+        assert code == 2
+        assert "meta/config is not valid JSON" in capsys.readouterr().err
 
     def test_arbitrary_ratio_mode(self, toyset, tmp_path):
         out = str(tmp_path / "mr.ckpt")

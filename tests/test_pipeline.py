@@ -1,10 +1,14 @@
+import json
+import platform
+import sys
+
 import numpy as np
 import pytest
 
 from csiqa import numerics as nm
 from csiqa import pipeline as pl
 from csiqa.checkpoint import array_to_bytes, read_checkpoint, write_checkpoint
-from csiqa.data import generate_toy_dataset, read_manifest
+from csiqa.data import generate_toy_dataset, pad_to_size, random_crop, read_manifest
 from csiqa.embedding import PositionalTable, add_position
 from csiqa.encoder import encode, subset, window_refine
 from csiqa.errors import CheckpointFormatError, ContractError, NumericalDivergenceError
@@ -12,6 +16,11 @@ from csiqa.head import score as head_score
 from csiqa.sampling import split_blocks
 
 from conftest import central_diff_grads, max_rel_err
+
+try:
+    import resource
+except ImportError:  # not a Unix platform
+    resource = None
 
 
 TINY = dict(block_size=4, embed_dim=16, depth=1, heads=4, window=2, crop_size=8)
@@ -315,7 +324,137 @@ class TestPersistence:
         assert np.array_equal(result.state.params["csm.phi"].data, matrix.matrix.data)
 
 
+    @staticmethod
+    def _rewrite(src, dst, edit):
+        """Copy checkpoint ``src`` to ``dst``, passing each blob through
+        ``edit(name, payload)``; a ``None`` payload drops the blob."""
+        blobs = [(name, edit(name, payload)) for name, payload in read_checkpoint(src)]
+        write_checkpoint(dst, [(n, b) for n, b in blobs if b is not None])
+
+    def _with_optimizer(self, tmp_path):
+        state = pl.init_model(pl.ModelConfig(**TINY))
+        opt = nm.AdamState()
+        opt.ensure(state.parameters())
+        opt.step = 1
+        good = tmp_path / "good.ckpt"
+        pl.save_model(good, state, opt, np.random.default_rng(0), {})
+        return good
+
+    @pytest.mark.parametrize("blob", ["opt/m/head.score.w1", "opt/v/head.score.w1"])
+    def test_missing_moment_blob_is_format_error(self, tmp_path, blob):
+        bad = tmp_path / "bad.ckpt"
+        self._rewrite(self._with_optimizer(tmp_path), bad,
+                      lambda name, payload: None if name == blob else payload)
+        with pytest.raises(CheckpointFormatError, match=f"missing blob {blob}"):
+            pl.load_model(bad)
+
+    def test_moment_shape_mismatch_is_format_error(self, tmp_path):
+        bad = tmp_path / "bad.ckpt"
+        self._rewrite(self._with_optimizer(tmp_path), bad,
+                      lambda name, payload: array_to_bytes(np.zeros((3, 5)))
+                      if name == "opt/v/aem.pos" else payload)
+        with pytest.raises(CheckpointFormatError,
+                           match=r"blob opt/v/aem.pos has shape \(3, 5\)"):
+            pl.load_model(bad)
+
+    def test_truncated_moment_blob_is_named(self, tmp_path):
+        bad = tmp_path / "bad.ckpt"
+        self._rewrite(self._with_optimizer(tmp_path), bad,
+                      lambda name, payload: payload[:3] if name == "opt/m/aem.pos" else payload)
+        with pytest.raises(CheckpointFormatError, match="blob opt/m/aem.pos: array blob too short"):
+            pl.load_model(bad)
+
+    @pytest.mark.parametrize("payload", [
+        {"bit_generator": "MT19937"},
+        {"bit_generator": "PCG64"},
+        [1, 2],
+    ], ids=["mt19937", "no-state", "list"])
+    def test_malformed_rng_state_is_format_error(self, tmp_path, payload):
+        bad = tmp_path / "bad.ckpt"
+        self._rewrite(self._with_optimizer(tmp_path), bad,
+                      lambda name, blob: pl._json_bytes(payload) if name == "rng/train" else blob)
+        with pytest.raises(CheckpointFormatError, match="rng/train"):
+            pl.load_model(bad)
+
+    @pytest.fixture
+    def csm_checkpoint(self, tmp_path, rng):
+        from csiqa.sampling import pretrain_csm
+        corpus = [rng.random((8, 8)) for _ in range(2)]
+        matrix, rec, losses = pretrain_csm(corpus, 0.25, epochs=2, lr=1e-3,
+                                           block_size=4, width=4, seed=1)
+        path = tmp_path / "csm.ckpt"
+        pl.save_pretrained_csm(path, matrix, rec, 0.25, losses)
+        return path
+
+    def test_csm_initialization_prints_nothing(self, csm_checkpoint, tiny_manifest, capsys):
+        pl.train(tiny_manifest, pl.ModelConfig(**TINY, seed=0),
+                 pl.TrainSettings(batch=2, lr=0.0, steps=1, val_every=0),
+                 csm_checkpoint=csm_checkpoint)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda meta: b'{"kind":', "not valid JSON"),
+        (lambda meta: dict(meta, kind="model"), "'model' is not 'csm-pretrain'"),
+        *[(lambda meta, k=k: {n: v for n, v in meta.items() if n != k}, k)
+          for k in ("kind", "block_size", "ratio", "width")],
+        (lambda meta: dict(meta, width="wide"), "invalid pretraining config"),
+        (lambda meta: dict(meta, width=8), "conv1.w has shape"),
+    ], ids=["bad-json", "wrong-kind", "no-kind", "no-block_size", "no-ratio", "no-width",
+            "bad-width", "other-width"])
+    def test_bad_csm_meta_is_format_error(self, tmp_path, csm_checkpoint, edit, message):
+        def rewrite(name, payload):
+            if name != "meta/config":
+                return payload
+            new = edit(json.loads(payload))
+            return new if isinstance(new, bytes) else pl._json_bytes(new)
+
+        bad = tmp_path / "bad.ckpt"
+        self._rewrite(csm_checkpoint, bad, rewrite)
+        with pytest.raises(CheckpointFormatError, match=message):
+            pl.load_pretrained_csm(bad)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda name, blob: None if name == "param/csm.phi" else blob, "missing blob param/csm.phi"),
+        (lambda name, blob: None if name == "param/csnet.conv2.b" else blob,
+         "missing blob param/csnet.conv2.b"),
+        (lambda name, blob: array_to_bytes(np.zeros(3)) if name == "param/csnet.init.b" else blob,
+         r"init.b has shape \(3,\)"),
+        (lambda name, blob: array_to_bytes(np.zeros((4, 4))) if name == "param/csm.phi" else blob,
+         r"csm.phi has shape \(4, 4\)"),
+    ], ids=["no-phi", "no-csnet-param", "csnet-shape", "phi-shape"])
+    def test_bad_csm_params_are_format_errors(self, tmp_path, csm_checkpoint, edit, message):
+        bad = tmp_path / "bad.ckpt"
+        self._rewrite(csm_checkpoint, bad, edit)
+        with pytest.raises(CheckpointFormatError, match=message):
+            pl.load_pretrained_csm(bad)
+
+    def test_renamed_csm_param_is_format_error(self, tmp_path, csm_checkpoint):
+        bad = tmp_path / "bad.ckpt"
+        write_checkpoint(bad, [(n.replace("conv3", "conv4"), b)
+                               for n, b in read_checkpoint(csm_checkpoint)])
+        with pytest.raises(CheckpointFormatError,
+                           match=r"unexpected parameter blobs \['param/csnet.conv4.b'"):
+            pl.load_pretrained_csm(bad)
+
+
 class TestEvaluation:
+    @pytest.mark.parametrize("n_crops", [1, 5])
+    @pytest.mark.parametrize("ratio", pl.DEFAULT_RATIO_SET)
+    @pytest.mark.parametrize("variant", pl.VARIANTS)
+    def test_predict_image_equals_crop_loop(self, variant, ratio, n_crops):
+        cfg = pl.ModelConfig(variant=variant, ratio=ratio, init_std=0.2, seed=4)  # desk geometry
+        state = pl.init_model(cfg)
+        img = np.random.default_rng(9).random((40, 45))
+        got = pl.predict_image(img, state, ratio, n_crops, np.random.default_rng(1))
+        # Reference: one N=1 forward per crop, crops drawn and summed in order.
+        rng = np.random.default_rng(1)
+        padded = pad_to_size(img, cfg.crop_size, cfg.crop_size)
+        total = 0.0
+        for _ in range(n_crops):
+            score, _ = pl.forward(random_crop(padded, cfg.crop_size, rng), state, ratio)
+            total += score.item()
+        assert got == total / n_crops
+
     def test_five_crop_prediction_deterministic(self, tiny_manifest):
         cfg = pl.ModelConfig(**TINY, seed=0)
         state = pl.init_model(cfg)
@@ -369,3 +508,43 @@ class TestConfig:
             pl.ModelConfig(window=3)  # 8-wide grid not divisible by 3
         with pytest.raises(ContractError):
             pl.ModelConfig(crop_size=30)
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+@pytest.mark.skipif(
+    resource is None or not sys.platform.startswith("linux")
+    or platform.libc_ver()[0] != "glibc",
+    reason="the heap top pad is set through glibc's mallopt")
+class TestHeapStaysResident:
+    """Freed temporaries stay mapped, so a warm op faults in few pages.
+
+    Without the heap top pad, a desk training step re-faults about 7,600
+    pages and a five-crop batch about 3,200.
+    """
+
+    BOUND = 200
+
+    def test_desk_training_step(self, tmp_path):
+        records = read_manifest(generate_toy_dataset(tmp_path, n_images=16, size=40, seed=5))
+        cfg = pl.ModelConfig(seed=1)
+
+        def run(steps):
+            pl.train(records, cfg, pl.TrainSettings(batch=8, lr=1e-4, steps=steps, val_every=0))
+
+        run(2)
+        before = _minor_faults()
+        run(6)
+        assert (_minor_faults() - before) / 6 < self.BOUND
+
+    def test_five_crop_scoring(self):
+        state = pl.init_model(pl.ModelConfig(seed=1))
+        img = np.random.default_rng(2).random((48, 48))
+        for i in range(2):
+            pl.predict_image(img, state, 0.1, 5, np.random.default_rng(i))
+        before = _minor_faults()
+        for i in range(10):
+            pl.predict_image(img, state, 0.1, 5, np.random.default_rng(i))
+        assert (_minor_faults() - before) / 10 < self.BOUND
