@@ -20,7 +20,7 @@ from .encoder import (
 )
 from .head import aggregate, score, weight_map
 from .metrics import plcc, srcc
-from .numerics import AdamState, GradTape, Tensor, adam_step, backward
+from .numerics import AdamState, GradTape, Tensor, adam_step
 from .pipeline import (
     ModelConfig,
     ModelState,

@@ -85,6 +85,10 @@ def resolve_settings(args, spec: dict[str, tuple]) -> dict:
                     f"{caster.__name__}: {file_cfg[key]!r}") from None
         else:
             resolved[key] = default() if callable(default) else default
+    if resolved.get("seed", 0) < 0:
+        source = ("--seed" if getattr(args, "seed", None) is not None
+                  else f"config file {args.config}" if "seed" in file_cfg else "CSIQA_SEED")
+        raise ContractError(f"seed must be non-negative, got {resolved['seed']} (from {source})")
     return resolved
 
 

@@ -74,7 +74,7 @@ def embed(em: EmbeddingMatrix, meas: MeasurementSet) -> nm.Tensor:
         raise ContractError(
             f"measurement length {m} exceeds embedding width {em.max_measurements}")
     cols = nm.slice_cols(em.matrix, 0, m) if m < em.max_measurements else em.matrix
-    return nm.matmul(meas.values, nm.transpose(cols))
+    return nm.matmul(meas.values, nm.permute(cols, (1, 0)))
 
 
 def bypass_embed(meas: MeasurementSet, embed_dim: int) -> nm.Tensor:

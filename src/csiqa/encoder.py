@@ -251,10 +251,6 @@ def window_refine(
     a cyclic shift of floor(w/2) on odd i, none on even i. The output is
     conv_scale * Conv3x3(tokens) + tokens.
     """
-    if grid.blocks_h % cfg.window or grid.blocks_w % cfg.window:
-        raise ContractError(
-            f"window {cfg.window} does not divide token grid "
-            f"{grid.blocks_h}x{grid.blocks_w}")
     shape = x.shape
     x = nm.reshape(x, (x.size // shape[-1], shape[-1]))
     for i in range(cfg.layers):

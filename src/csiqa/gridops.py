@@ -2,9 +2,9 @@
 
 Window attention reorders tokens by a cached permutation and its inverse
 (``window_permutation``), whose backward through ``numerics.permute_rows``
-is a gather by the inverse. The 3x3 convolution is an im2col
-(``numerics.im2col3x3``, whose backward is nine shifted slice-adds)
-followed by one ``affine``. Neither needs a scatter.
+is a gather by the inverse. The 3x3 convolution is one tape record whose
+input gradient is nine contiguous adds on the flattened zero-padded grid.
+Neither needs a scatter.
 """
 
 from __future__ import annotations
@@ -56,13 +56,55 @@ def window_permutation(
 
 
 def conv3x3(x: nm.Tensor, height: int, width: int, weight: nm.Tensor, bias: nm.Tensor) -> nm.Tensor:
-    """3x3 same-padding convolution over tokens laid out on a grid.
+    """3x3 same-padding convolution over tokens laid out on a grid, one tape op.
 
     x is (N*height*width, C_in), N grids stacked row-wise; weight is
-    (9*C_in, C_out), neighbor-major.
+    (9*C_in, C_out), neighbor-major. The forward is im2col(x) @ weight + bias.
     """
-    cols = nm.im2col3x3(x, height, width)
-    if weight.shape[0] != cols.shape[1]:
+    cols = nm.im2col3x3(x.data, height, width)
+    if weight.shape[0] != cols.shape[1] or bias.shape != weight.shape[1:]:
         raise ShapeError(
-            f"kernel expects {weight.shape[0] // 9} channels, tokens have {x.shape[1]}")
-    return nm.affine(cols, weight, bias)
+            f"kernel {weight.shape} and bias {bias.shape} do not fit {x.shape[1]} channels")
+    out = cols @ weight.data + bias.data
+
+    def backprop(g):
+        if x.requires_grad:
+            gp = _padded_input_grad(g, weight.data, height, width)
+            nm._accumulate(x, gp[:, 1:-1, 1:-1].reshape(x.shape))
+        if weight.requires_grad:
+            nm._accumulate(weight, cols.T @ g)
+        if bias.requires_grad:
+            nm._accumulate(bias, g.sum(axis=0))
+
+    return nm._make(out, (x, weight, bias), backprop)
+
+
+def _padded_input_grad(g: np.ndarray, weight: np.ndarray, height: int, width: int) -> np.ndarray:
+    """``conv3x3``'s input gradient on the zero-padded grids, (N, H+2, W+2, C_in).
+
+    On the padded grids flattened to rows, the window cornered at row p
+    covers rows p + dr*(width+2) + dc for neighbour k = 3*dr + dc. So with
+    ``g`` laid at each window's corner row, neighbour k adds ``g_pad @ W_k.T``
+    to one contiguous row range. k runs 8 to 0, as a scatter would reach
+    each pixel.
+    """
+    n, c_out = g.shape
+    c_in = weight.shape[0] // 9
+    batch, pitch = n // (height * width), width + 2
+    rows = batch * (height + 2) * pitch
+    corners = rows - 2 * pitch - 2  # rows that can be a window's corner
+    g_pad = np.zeros((batch, height + 2, pitch, c_out))
+    g_pad[:, :height, :width] = g.reshape(batch, height, width, c_out)
+    g_pad = g_pad.reshape(rows, c_out)[:corners]
+    # one product for one channel: nine matrix-vector products would not
+    # round as the reference's matrix product does
+    shares = g_pad @ weight.T if c_in == 1 else np.empty((corners, c_in))
+    gp = np.zeros((rows, c_in))
+    for k in range(8, -1, -1):
+        if c_in == 1:
+            share = shares[:, k:k + 1]
+        else:
+            share = np.matmul(g_pad, weight[k * c_in:(k + 1) * c_in].T, out=shares)
+        off = k // 3 * pitch + k % 3
+        gp[off:off + corners] += share
+    return gp.reshape(batch, height + 2, pitch, c_in)

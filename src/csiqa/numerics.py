@@ -7,7 +7,7 @@ gradient checks against central finite differences are meaningful.
 Tensors are treated as immutable values once created; the one sanctioned
 mutation is the optimizer rewriting parameter data between tapes. Recording
 is single-threaded: open a ``GradTape`` around the forward pass, then call
-``backward`` on a scalar loss to populate ``.grad`` on every reachable
+its ``backward`` on a scalar loss to populate ``.grad`` on every reachable
 tensor with ``requires_grad=True``. Code that runs outside a tape performs
 no recording and is safe to run in parallel over read-only tensors.
 """
@@ -81,13 +81,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        """A defensive copy of the underlying array."""
-        return self.data.copy()
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -142,17 +135,6 @@ class GradTape:
             out._tape = None
             if out.grad is not None:
                 backprop(out.grad)
-
-
-def backward(loss: Tensor) -> None:
-    """Populate ``.grad`` for every requires_grad tensor the loss depends on.
-
-    Tensors not on the loss's tape are untouched (their ``grad`` stays as
-    it was, i.e. an unused parameter reads as zero gradient).
-    """
-    if loss._tape is None:
-        raise ContractError("loss is not connected to a gradient tape")
-    loss._tape.backward(loss)
 
 
 def _active_tape() -> "GradTape | None":
@@ -322,13 +304,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, (x, w, b), backprop)
 
 
-def transpose(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"transpose expects rank 2, got {x.shape}")
-    return permute(x, (1, 0))
-
-
 def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     x = as_tensor(x)
     if sorted(axes) != list(range(x.ndim)):
@@ -431,16 +406,15 @@ def permute_rows(x: Tensor, order: np.ndarray, inverse: np.ndarray) -> Tensor:
     return _make(x.data[order], (x,), backprop)
 
 
-def im2col3x3(x: Tensor, height: int, width: int) -> Tensor:
+def im2col3x3(x: np.ndarray, height: int, width: int) -> np.ndarray:
     """Zero-padded 3x3 neighbourhood of every position of stacked grids.
 
     ``x`` is (N*height*width, C): N grids stacked row-wise, each row-major.
     Returns (N*height*width, 9*C), one row per position holding its nine
     neighbours row by row (neighbour-major, channel-minor); neighbours
     outside a grid read as zero, and grids never see each other's pixels.
-    The backward adds nine shifted slices into a zero-padded buffer.
+    Plain arrays, not recorded on a tape.
     """
-    x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"im2col3x3 expects rank 2, got {x.shape}")
     n, c = x.shape
@@ -448,49 +422,27 @@ def im2col3x3(x: Tensor, height: int, width: int) -> Tensor:
         raise ShapeError(f"{n} rows do not fill whole {height}x{width} grids")
     batch = n // (height * width)
     padded = np.zeros((batch, height + 2, width + 2, c))
-    padded[:, 1:-1, 1:-1] = x.data.reshape(batch, height, width, c)
+    padded[:, 1:-1, 1:-1] = x.reshape(batch, height, width, c)
     windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
-    out = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, 9 * c)
-
-    def backprop(g):
-        if x.requires_grad:
-            g = g.reshape(batch, height, width, 9, c)
-            gp = np.zeros((batch, height + 2, width + 2, c))
-            # Neighbour 8 first: the order in which a scatter over
-            # position-major rows reaches each pixel, so sums round alike.
-            for k in range(8, -1, -1):
-                dr, dc = divmod(k, 3)
-                gp[:, dr:dr + height, dc:dc + width] += g[:, :, :, k]
-            _accumulate(x, gp[:, 1:-1, 1:-1].reshape(n, c))
-
-    return _make(out, (x,), backprop)
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, 9 * c)
 
 
-def _concat(parts: Iterable[Tensor], axis: int) -> Tensor:
+def concat_cols(parts: Iterable[Tensor]) -> Tensor:
+    """Rank-2 tensors of equal row count, side by side."""
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ContractError("concat of zero parts")
     if any(p.ndim != 2 for p in parts):
         raise ShapeError("concat expects rank-2 parts")
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    out = np.concatenate([p.data for p in parts], axis=1)
+    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
 
     def backprop(g):
         for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                piece = g[a:b] if axis == 0 else g[:, a:b]
-                _accumulate(p, piece)
+                _accumulate(p, g[:, a:b])
 
     return _make(out, parts, backprop)
-
-
-def concat_rows(parts: Iterable[Tensor]) -> Tensor:
-    return _concat(parts, axis=0)
-
-
-def concat_cols(parts: Iterable[Tensor]) -> Tensor:
-    return _concat(parts, axis=1)
 
 
 # ---------------------------------------------------------------------------

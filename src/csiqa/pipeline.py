@@ -197,9 +197,6 @@ class ModelState:
     def parameters(self) -> list[nm.Tensor]:
         return list(self.params.values())
 
-    def names(self) -> list[str]:
-        return list(self.params.keys())
-
     def zero_grads(self) -> None:
         for t in self.params.values():
             t.zero_grad()
@@ -241,11 +238,6 @@ def forward(imgs: np.ndarray, state: ModelState, ratio: float | None = None):
         if cfg.ratio_mode != "fixed":
             raise ContractError("arbitrary-ratio model needs an explicit ratio at inference")
         ratio = cfg.ratio
-    m = measurement_count(cfg.block_size, ratio)
-    if cfg.variant == "cs-iqa" and m > cfg.embed_dim:
-        raise ContractError(
-            f"cs-iqa bypass cannot fit {m} measurements (ratio {ratio}) into "
-            f"embedding width {cfg.embed_dim}")
     matrix = SamplingMatrix(state.params["csm.phi"], cfg.block_size)
     meas = sample(matrix, imgs, ratio)
     if cfg.variant == "cl-iqa":
@@ -261,7 +253,7 @@ def forward(imgs: np.ndarray, state: ModelState, ratio: float | None = None):
     pooled, token_scores, token_weights = head_score(x, subset(state.params, "head"))
     diag = {
         "ratio": float(ratio),
-        "measurements_per_block": m,
+        "measurements_per_block": meas.measurement_length,
         "grid": meas.grid,
         "token_scores": token_scores,
         "token_weights": token_weights,

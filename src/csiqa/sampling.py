@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericalDivergenceError, ShapeError
 from .gridops import conv3x3
 
 # Guard against float fuzz like 0.3*100 = 30.000000000000004 before ceiling.
@@ -144,18 +144,6 @@ def split_blocks(img: np.ndarray, block_size: int) -> tuple[np.ndarray, BlockGri
     return np.ascontiguousarray(blocks), grid
 
 
-def merge_blocks(blocks: np.ndarray, grid: BlockGrid) -> np.ndarray:
-    """Inverse of split_blocks over the padded image."""
-    b = grid.block_size
-    if blocks.shape != (grid.num_blocks, b * b):
-        raise ShapeError(f"expected {(grid.num_blocks, b * b)} blocks, got {blocks.shape}")
-    return (
-        blocks.reshape(grid.blocks_h, grid.blocks_w, b, b)
-        .transpose(0, 2, 1, 3)
-        .reshape(grid.padded_shape)
-    )
-
-
 def truncate(sm: SamplingMatrix, ratio: float) -> nm.Tensor:
     """First ceil(ratio * B^2) rows of the base matrix, unchanged."""
     m = measurement_count(sm.block_size, ratio)
@@ -173,7 +161,7 @@ def sample(sm: SamplingMatrix, img: np.ndarray, ratio: float) -> MeasurementSet:
     """
     m = measurement_count(sm.block_size, ratio)
     blocks, grid = split_blocks(img, sm.block_size)
-    full = nm.matmul(nm.Tensor(blocks), nm.transpose(sm.matrix))
+    full = nm.matmul(nm.Tensor(blocks), nm.permute(sm.matrix, (1, 0)))
     y = nm.slice_cols(full, 0, m) if m < full.shape[1] else full
     return MeasurementSet(y, grid, ratio)
 
@@ -270,6 +258,33 @@ def csnet_reconstruct(rec: CsnetReconstructor, meas: MeasurementSet) -> nm.Tenso
     return nm.reshape(nm.add(pixels, residual), shape)
 
 
+def _corpus_error(
+    matrix: SamplingMatrix, rec: CsnetReconstructor, images: list[np.ndarray], ratio: float
+) -> nm.Tensor:
+    """Each image's reconstruction MSE, summed in corpus order, as one op.
+
+    The images of each shape are reconstructed as one stack.
+    """
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, im in enumerate(images):
+        by_shape.setdefault(np.shape(im), []).append(i)
+    recons, diffs, means = [], [], np.empty(len(images))
+    for idx in by_shape.values():
+        stack = np.stack([images[i] for i in idx], dtype=np.float64)
+        recon = csnet_reconstruct(rec, sample(matrix, stack, ratio))
+        diff = (recon.data - pad_to_blocks(stack, rec.block_size)).reshape(len(idx), -1)
+        means[idx] = (diff * diff).mean(axis=1)
+        recons.append(recon)
+        diffs.append(diff)
+    total = np.cumsum(means)[-1]  # added one by one, not pairwise
+
+    def backprop(g):
+        for recon, diff in zip(recons, diffs):
+            nm._accumulate(recon, (2.0 * ((g / diff.shape[1]) * diff)).reshape(recon.shape))
+
+    return nm._make(np.asarray(total), recons, backprop)
+
+
 def pretrain_csm(
     corpus: list[np.ndarray],
     ratio: float,
@@ -283,12 +298,18 @@ def pretrain_csm(
 ) -> tuple[SamplingMatrix, CsnetReconstructor, list[float]]:
     """Jointly fit the sampling matrix and reconstructor by Adam on MSE.
 
-    One full-batch step per epoch over the whole corpus. Returns the trained
-    pieces plus the per-epoch loss trajectory (loss before each step). Pass
+    One full-batch step per epoch on one tape: the images of each size are
+    reconstructed as one (N, H, W) stack, sizes in order of first
+    appearance. The loss is each image's MSE over its own padded (H, W),
+    summed in corpus order, then scaled by 1/len(corpus). Returns the
+    trained pieces plus the per-epoch loss before each step; a non-finite
+    loss raises ``NumericalDivergenceError`` before its update. Pass
     ``train_matrix=False`` to keep the matrix frozen (baseline comparisons).
     """
     if not corpus:
         raise ContractError("pretraining corpus is empty")
+    if width < 1:
+        raise ContractError(f"pretraining width must be a positive integer, got {width}")
     # separate streams so paired runs share the reconstructor init exactly,
     # whether or not a frozen matrix is supplied
     matrix_rng = np.random.default_rng(np.random.SeedSequence([seed, 11, 0]))
@@ -303,22 +324,18 @@ def pretrain_csm(
     params = ([matrix.matrix] if train_matrix else []) + list(rec.params.values())
     state = nm.AdamState()
     losses: list[float] = []
-    images = [np.asarray(im, dtype=np.float64) for im in corpus]
-    for _ in range(epochs):
+    for epoch in range(epochs):
         for t in params:
             t.zero_grad()
         with nm.GradTape() as tape:
-            total = nm.Tensor(0.0)
-            for im in images:
-                target = pad_to_blocks(im, block_size)
-                recon = csnet_reconstruct(rec, sample(matrix, im, ratio))
-                diff = nm.sub(recon, nm.Tensor(target))
-                total = nm.add(total, nm.mean_all(nm.mul(diff, diff)))
-            loss = nm.scale(total, 1.0 / len(images))
+            loss = nm.scale(_corpus_error(matrix, rec, corpus, ratio), 1.0 / len(corpus))
+        if not math.isfinite(loss.item()):
+            raise NumericalDivergenceError(f"non-finite pretraining loss at epoch {epoch + 1}")
         losses.append(loss.item())
         tape.backward(loss)
-        grads = [t.grad for t in params]
-        nm.adam_step(params, grads, state, lr=lr)
+        nm.adam_step(params, [t.grad for t in params], state, lr=lr)
+    if not all(np.isfinite(t.data).all() for t in params):
+        raise NumericalDivergenceError(f"non-finite parameters after epoch {epochs}")
     matrix.matrix.requires_grad = True
     return matrix, rec, losses
 
@@ -327,9 +344,4 @@ def reconstruction_mse(
     matrix: SamplingMatrix, rec: CsnetReconstructor, corpus: list[np.ndarray], ratio: float
 ) -> float:
     """Mean reconstruction MSE of a (matrix, reconstructor) pair on a corpus."""
-    total = 0.0
-    for im in corpus:
-        target = pad_to_blocks(np.asarray(im, dtype=np.float64), rec.block_size)
-        recon = csnet_reconstruct(rec, sample(matrix, im, ratio))
-        total += float(np.mean((recon.data - target) ** 2))
-    return total / len(corpus)
+    return _corpus_error(matrix, rec, corpus, ratio).item() / len(corpus)

@@ -67,6 +67,27 @@ class TestPretrain:
         assert code == 2
 
 
+    @pytest.mark.parametrize("lr,epochs", [("nan", "5"), ("1e300", "5"), ("nan", "1")])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_exits_3_without_writing(self, lr, epochs, toyset, tmp_path, capsys):
+        out = tmp_path / "csm.ckpt"
+        code = main(["pretrain", "--corpus", toyset["corpus"], "--ratio", "0.25",
+                     "--out", str(out), "--epochs", epochs, "--lr", lr, "--width", "4"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err and "epoch" in captured.err
+        assert "final mse" not in captured.out
+        assert not out.exists()
+
+    def test_negative_width_exits_2(self, toyset, tmp_path, capsys):
+        out = tmp_path / "csm.ckpt"
+        code = main(["pretrain", "--corpus", toyset["corpus"], "--ratio", "0.25",
+                     "--out", str(out), "--epochs", "1", "--width", "-3"])
+        assert code == 2
+        assert "width" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrain:
     def test_smoke_run_prints_best_val(self, toyset, tmp_path, capsys):
         out = str(tmp_path / "m.ckpt")
@@ -253,6 +274,23 @@ class TestConfigFileAndSeeds:
                      "--seed", "3"]) == 0
         assert "# seed = 3" in capsys.readouterr().out
         assert (out / "manifest.csv").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "train", "make-toy"])
+    def test_negative_seed_flag_exits_2(self, command, toyset, tmp_path, capsys):
+        out = tmp_path / "out"
+        inputs = {"pretrain": ["--corpus", toyset["corpus"], "--epochs", "1"],
+                  "train": ["--manifest", toyset["manifest"], *TINY_TRAIN],
+                  "make-toy": ["--count", "4"]}[command]
+        assert main([command, *inputs, "--out", str(out), "--seed", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "--seed" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_env_seed_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CSIQA_SEED", "-5")
+        assert main(["make-toy", "--out", str(tmp_path / "gen"), "--count", "4"]) == 2
+        assert "CSIQA_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "gen").exists()
 
     def test_make_toy_subcommand(self, tmp_path, capsys):
         out = str(tmp_path / "gen")

@@ -57,13 +57,21 @@ def value_and_grads(fn, inputs, readout):
     return [out.data] + [t.grad for t in inputs]
 
 
-@pytest.mark.parametrize("batch,height,width,channels", [(8, 8, 8, 32), (3, 5, 7, 4)])
-def test_conv3x3_bitwise_equals_gather_scatter_reference(batch, height, width, channels, rng):
+@pytest.mark.parametrize("batch,height,width,channels,out_channels", [
+    pytest.param(8, 8, 8, 32, 6, id="8-8-8-32"),
+    pytest.param(3, 5, 7, 4, 6, id="3-5-7-4"),
+    # the three layers of a pretraining reconstructor on 8 images of 24x24
+    (8, 24, 24, 1, 16),
+    (8, 24, 24, 16, 16),
+    (8, 24, 24, 16, 1),
+])
+def test_conv3x3_bitwise_equals_gather_scatter_reference(
+        batch, height, width, channels, out_channels, rng):
     n = batch * height * width
     x = nm.Tensor(rng.normal(size=(n, channels)), requires_grad=True)
-    weight = nm.Tensor(rng.normal(size=(9 * channels, 6)), requires_grad=True)
-    bias = nm.Tensor(rng.normal(size=6), requires_grad=True)
-    readout = rng.normal(size=(n, 6))
+    weight = nm.Tensor(rng.normal(size=(9 * channels, out_channels)), requires_grad=True)
+    bias = nm.Tensor(rng.normal(size=out_channels), requires_grad=True)
+    readout = rng.normal(size=(n, out_channels))
     inputs = [x, weight, bias]
     new = value_and_grads(lambda: conv3x3(x, height, width, weight, bias), inputs, readout)
     ref = value_and_grads(

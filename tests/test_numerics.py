@@ -6,6 +6,7 @@ import pytest
 
 from csiqa import numerics as nm
 from csiqa.errors import ContractError, ShapeError
+from csiqa.gridops import conv3x3
 
 from conftest import central_diff_grads, max_rel_err
 
@@ -221,7 +222,7 @@ class TestStructuralOps:
     def test_im2col3x3_matches_neighbour_loop(self, rng):
         batch, height, width, c = 2, 3, 4, 2
         x = rng.normal(size=(batch, height, width, c))
-        out = nm.im2col3x3(nm.Tensor(x.reshape(-1, c)), height, width).data
+        out = nm.im2col3x3(x.reshape(-1, c), height, width)
         expected = np.zeros((batch, height, width, 3, 3, c))
         for n in range(batch):
             for r in range(height):
@@ -233,15 +234,15 @@ class TestStructuralOps:
                                 expected[n, r, col, dr, dc] = x[n, rr, cc]
         assert np.array_equal(out, expected.reshape(-1, 9 * c))
         with pytest.raises(ShapeError):
-            nm.im2col3x3(nm.Tensor(np.zeros((10, c))), height, width)
+            nm.im2col3x3(np.zeros((10, c)), height, width)
 
     def test_concat_and_slice_roundtrip(self, rng):
-        a = nm.Tensor(rng.normal(size=(2, 3)))
-        b = nm.Tensor(rng.normal(size=(4, 3)))
-        cat = nm.concat_rows([a, b])
-        assert np.array_equal(nm.slice_rows(cat, 2, 6).data, b.data)
-        cat2 = nm.concat_cols([nm.Tensor(rng.normal(size=(3, 2))), nm.Tensor(rng.normal(size=(3, 1)))])
-        assert cat2.shape == (3, 3)
+        a = nm.Tensor(rng.normal(size=(3, 2)))
+        b = nm.Tensor(rng.normal(size=(3, 4)))
+        cat = nm.concat_cols([a, b])
+        assert cat.shape == (3, 6)
+        assert np.array_equal(nm.slice_cols(cat, 2, 6).data, b.data)
+        assert np.array_equal(nm.slice_rows(cat, 1, 3).data, cat.data[1:3])
 
     def test_reshape_permute_inverse(self, rng):
         x = nm.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
@@ -254,10 +255,10 @@ class TestStructuralOps:
 
 @pytest.mark.parametrize("op_name", ["add", "sub", "mul", "div", "softmax", "layer_norm",
                                      "gelu", "relu", "sigmoid", "bmm", "affine", "gather",
-                                     "permute_rows", "im2col3x3"])
+                                     "permute_rows", "conv3x3"])
 def test_gradients_match_finite_differences(op_name, rng):
     """Every differentiable primitive vs central differences on 3 random shapes."""
-    structured = ("bmm", "affine", "gather", "permute_rows", "im2col3x3")
+    structured = ("bmm", "affine", "gather", "permute_rows", "conv3x3")
     shapes = [(3,), (2, 4), (3, 2, 2)] if op_name not in structured else [(0,)] * 3
     for trial in range(3):
         if op_name == "bmm":
@@ -282,11 +283,12 @@ def test_gradients_match_finite_differences(op_name, rng):
             inverse = np.argsort(order)
             params = [x]
             fwd = lambda: nm.sum_all(nm.sigmoid(nm.permute_rows(x, order, inverse)))
-        elif op_name == "im2col3x3":
+        elif op_name == "conv3x3":
             x = nm.Tensor(rng.normal(size=(2 * 3 * 4, 2)), requires_grad=True)
-            readout = nm.Tensor(rng.normal(size=(24, 18)))
-            params = [x]
-            fwd = lambda: nm.sum_all(nm.sigmoid(nm.mul(nm.im2col3x3(x, 3, 4), readout)))
+            w = nm.Tensor(rng.normal(size=(9 * 2, 3)), requires_grad=True)
+            bias = nm.Tensor(rng.normal(size=(3,)), requires_grad=True)
+            params = [x, w, bias]
+            fwd = lambda: nm.sum_all(nm.sigmoid(conv3x3(x, 3, 4, w, bias)))
         else:
             shape = shapes[trial]
             x = nm.Tensor(rng.normal(size=shape), requires_grad=True)

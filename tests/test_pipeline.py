@@ -252,7 +252,7 @@ class TestPersistence:
         path = tmp_path / "m.ckpt"
         pl.save_model(path, state)
         loaded = pl.load_model(path)
-        assert loaded.state.names() == state.names()
+        assert list(loaded.state.params) == list(state.params)
         for name in state.params:
             assert np.array_equal(loaded.state.params[name].data, state.params[name].data)
         assert loaded.state.config.to_dict() == cfg.to_dict()

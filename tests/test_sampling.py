@@ -3,9 +3,20 @@ import pytest
 
 from csiqa import numerics as nm
 from csiqa import sampling as sp
-from csiqa.errors import ContractError, ShapeError
+from csiqa.errors import ContractError, NumericalDivergenceError, ShapeError
 
 from conftest import central_diff_grads, max_rel_err
+
+
+def merge_blocks(blocks, grid):
+    """Reference layout: the inverse of split_blocks over the padded image."""
+    b = grid.block_size
+    assert blocks.shape == (grid.num_blocks, b * b)
+    return (
+        blocks.reshape(grid.blocks_h, grid.blocks_w, b, b)
+        .transpose(0, 2, 1, 3)
+        .reshape(grid.padded_shape)
+    )
 
 
 def identity_matrix(block_size):
@@ -24,14 +35,14 @@ class TestSplitBlocks:
         img = rng.random((8, 8))
         blocks, grid = sp.split_blocks(img, 4)
         assert grid.num_blocks == 4
-        assert np.array_equal(sp.merge_blocks(blocks, grid), img)
+        assert np.array_equal(merge_blocks(blocks, grid), img)
 
     def test_padding_round_trip(self, rng):
         img = rng.random((10, 10))
         blocks, grid = sp.split_blocks(img, 4)
         assert grid.padded_shape == (12, 12)
         assert grid.num_blocks == 9
-        merged = sp.merge_blocks(blocks, grid)
+        merged = merge_blocks(blocks, grid)
         assert np.array_equal(merged[:10, :10], img)
 
     def test_bad_block_size(self):
@@ -167,7 +178,7 @@ class TestReconstructor:
         grid = sp.BlockGrid(2, 2, 4)
         meas = sp.MeasurementSet(nm.Tensor(np.zeros((4, 4))), grid, 0.25)
         out = sp.csnet_reconstruct(rec, meas)
-        expected = sp.merge_blocks(np.tile(bias, (4, 1)), grid)
+        expected = merge_blocks(np.tile(bias, (4, 1)), grid)
         assert np.max(np.abs(out.data - expected)) <= 1e-12
 
     def test_blocks_land_in_merge_blocks_layout(self, rng):
@@ -178,7 +189,7 @@ class TestReconstructor:
         values = rng.normal(size=(6, 4))
         out = sp.csnet_reconstruct(rec, sp.MeasurementSet(nm.Tensor(values), grid, 0.25))
         blocks = values @ rec.params["init.w"].data + rec.params["init.b"].data
-        assert np.array_equal(out.data, sp.merge_blocks(blocks, grid))
+        assert np.array_equal(out.data, merge_blocks(blocks, grid))
 
     def test_batch_reconstructs_each_image(self, rng):
         rec = sp.init_reconstructor(4, 0.25, rng, width=4)
@@ -235,3 +246,100 @@ class TestPretrain:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ContractError):
             sp.pretrain_csm([], 0.5, epochs=1, lr=1e-3)
+
+
+def reference_pretrain(corpus, ratio, epochs, lr, block_size, width, seed):
+    """Pretraining as one image at a time: the loss adds each image's mean
+    squared error in corpus order, then scales by 1/len(corpus)."""
+    matrix_rng = np.random.default_rng(np.random.SeedSequence([seed, 11, 0]))
+    recon_rng = np.random.default_rng(np.random.SeedSequence([seed, 11, 1]))
+    matrix = sp.random_sampling_matrix(block_size, matrix_rng)
+    rec = sp.init_reconstructor(block_size, ratio, recon_rng, width=width)
+    params = [matrix.matrix] + list(rec.params.values())
+    state = nm.AdamState()
+    losses = []
+    for _ in range(epochs):
+        for t in params:
+            t.zero_grad()
+        with nm.GradTape() as tape:
+            total = nm.Tensor(0.0)
+            for im in corpus:
+                target = sp.pad_to_blocks(im, block_size)
+                recon = sp.csnet_reconstruct(rec, sp.sample(matrix, im, ratio))
+                diff = nm.sub(recon, nm.Tensor(target))
+                total = nm.add(total, nm.mean_all(nm.mul(diff, diff)))
+            loss = nm.scale(total, 1.0 / len(corpus))
+        losses.append(loss.item())
+        tape.backward(loss)
+        nm.adam_step(params, [t.grad for t in params], state, lr=lr)
+    return matrix, rec, losses
+
+
+def reference_reconstruction_mse(matrix, rec, corpus, ratio):
+    total = 0.0
+    for im in corpus:
+        target = sp.pad_to_blocks(im, rec.block_size)
+        recon = sp.csnet_reconstruct(rec, sp.sample(matrix, im, ratio))
+        total += float(np.mean((recon.data - target) ** 2))
+    return total / len(corpus)
+
+
+# more than 8 images: numpy sums 8 or more values pairwise, not in order
+def same_size_corpus(rng):
+    return [rng.random((12, 12)) for _ in range(9)]
+
+
+def mixed_size_corpus(rng):
+    return [rng.random((8, 8) if i % 2 == 0 else (12, 12)) for i in range(10)]
+
+
+class TestBatchedPretrain:
+    """The batched epoch against the per-image loop it replaced."""
+
+    @pytest.mark.parametrize("make_corpus", [same_size_corpus, mixed_size_corpus])
+    def test_matches_per_image_loop(self, make_corpus, rng):
+        corpus = make_corpus(rng)
+        args = dict(ratio=0.25, epochs=5, lr=1e-2, block_size=4, width=4, seed=7)
+        m_new, rec_new, new = sp.pretrain_csm(corpus, **args)
+        m_ref, rec_ref, ref = reference_pretrain(corpus, **args)
+        # the first epoch's forward is the same arithmetic, image by image
+        assert new[0] == ref[0]
+        # batching regroups the sums of shared-weight gradients, so later
+        # epochs may differ in the last bits
+        assert max_rel_err(new, ref, floor=1e-300) <= 1e-12
+        assert max_rel_err(m_new.matrix.data, m_ref.matrix.data, floor=1e-300) <= 1e-12
+        for name in rec_ref.params:
+            assert max_rel_err(rec_new.params[name].data, rec_ref.params[name].data,
+                               floor=1e-300) <= 1e-12, name
+        assert (sp.reconstruction_mse(m_new, rec_new, corpus, 0.25)
+                == reference_reconstruction_mse(m_new, rec_new, corpus, 0.25))
+
+    def test_one_epoch_is_one_short_tape(self, rng, monkeypatch):
+        lengths = []
+        replay = nm.GradTape.backward
+
+        def counting(tape, loss):
+            lengths.append(len(tape))
+            return replay(tape, loss)
+
+        monkeypatch.setattr(nm.GradTape, "backward", counting)
+        corpus = [rng.random((24, 24)) for _ in range(8)]
+        sp.pretrain_csm(corpus, 0.25, epochs=1, lr=3e-3, block_size=4, width=16, seed=2)
+        assert len(lengths) == 1 and lengths[0] <= 25
+
+    @pytest.mark.parametrize("lr", [float("nan"), 1e300])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_raises_naming_the_epoch(self, lr, rng):
+        corpus = [rng.random((8, 8)) for _ in range(2)]
+        with pytest.raises(NumericalDivergenceError, match="epoch 2"):
+            sp.pretrain_csm(corpus, 0.25, epochs=4, lr=lr, block_size=4, width=4)
+
+    def test_non_finite_last_update_raises(self, rng):
+        # no loss is computed after the last update, so its parameters are checked
+        corpus = [rng.random((8, 8)) for _ in range(2)]
+        with pytest.raises(NumericalDivergenceError, match="epoch 1"):
+            sp.pretrain_csm(corpus, 0.25, epochs=1, lr=float("nan"), block_size=4, width=4)
+
+    def test_non_positive_width_rejected(self, rng):
+        with pytest.raises(ContractError, match="width"):
+            sp.pretrain_csm([rng.random((8, 8))], 0.25, epochs=1, lr=1e-3, width=-3)
