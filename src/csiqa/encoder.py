@@ -7,11 +7,19 @@ grid, the second with the tiling cyclically shifted by floor(w/2), then a
 3x3 convolution over the grid scaled by a small factor and added back as a
 residual. Window attention uses a cyclic shift without attention masking;
 grids are expected to be divisible by the window size.
+
+A block is nine tape records: the q/k/v projections, one fused
+``numerics.attention`` over every sample (or window) and head, the output
+projection, two fused ``numerics.residual_layer_norm`` and the feed-forward
+as ``numerics.affine_gelu`` plus an affine; a window block adds its two
+row permutations. Blocks read their parameters through a ``ParamGroup``,
+a prefix view of the flat parameter dict.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,65 +121,83 @@ def init_refiner_params(
     return params
 
 
-def subset(params: dict[str, nm.Tensor], prefix: str) -> dict[str, nm.Tensor]:
-    """View of params under a dotted prefix, with the prefix stripped."""
-    plen = len(prefix) + 1
-    return {k[plen:]: v for k, v in params.items() if k.startswith(prefix + ".")}
+class ParamGroup(Mapping):
+    """The parameters under one dotted prefix of a flat name -> tensor
+    dict, keyed with the prefix stripped.
+
+    Every lookup reads through to the flat dict, so a tensor replaced there
+    is seen at once and no copy can go stale. Sub-groups are built on first
+    use and kept, so a forward pays no scan over the names.
+    """
+
+    __slots__ = ("params", "prefix", "_groups")
+
+    def __init__(self, params: dict[str, nm.Tensor], prefix: str = ""):
+        self.params = params
+        self.prefix = prefix
+        self._groups: dict[str, ParamGroup] = {}
+
+    def __getitem__(self, key: str) -> nm.Tensor:
+        return self.params[self.prefix + key]
+
+    def __contains__(self, key) -> bool:
+        return self.prefix + key in self.params
+
+    def __iter__(self):
+        start = len(self.prefix)
+        return (k[start:] for k in self.params if k.startswith(self.prefix))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def group(self, name: str) -> "ParamGroup":
+        """The sub-group under ``name.``."""
+        sub = self._groups.get(name)
+        if sub is None:
+            sub = self._groups[name] = ParamGroup(self.params, f"{self.prefix}{name}.")
+        return sub
+
+
+def group(params: Mapping[str, nm.Tensor], name: str) -> ParamGroup:
+    """The parameters under ``name.``; a plain dict is wrapped on the spot."""
+    if isinstance(params, ParamGroup):
+        return params.group(name)
+    return ParamGroup(params, f"{name}.")
 
 
 # ---------------------------------------------------------------------------
 # Attention
 # ---------------------------------------------------------------------------
 
-def _project_qkv(x: nm.Tensor, p: dict[str, nm.Tensor]):
+def _project_qkv(x: nm.Tensor, p: Mapping[str, nm.Tensor]):
     q = nm.affine(x, p["attn.wq"], p["attn.qb"])
     k = nm.affine(x, p["attn.wk"], p["attn.kb"])
     v = nm.affine(x, p["attn.wv"], p["attn.vb"])
     return q, k, v
 
 
-def _batched_attention(q, k, v, head_dim, return_weights=False):
-    """Scaled dot-product attention on (batch, heads, tokens, head_dim) tensors."""
-    scores = nm.scale(nm.bmm(q, nm.permute(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
-    weights = nm.softmax(scores, axis=-1)
-    out = nm.bmm(weights, v)
-    return (out, weights.data.copy()) if return_weights else (out, None)
-
-
-def _split_heads(t: nm.Tensor, batch: int, tokens: int, heads: int) -> nm.Tensor:
-    """(batch*tokens, d) or (batch, tokens, d) -> (batch, heads, tokens, d/heads)."""
-    t = nm.reshape(t, (batch, tokens, heads, t.shape[-1] // heads))
-    return nm.permute(t, (0, 2, 1, 3))
-
-
-def _merge_heads(t: nm.Tensor, shape: tuple[int, ...]) -> nm.Tensor:
-    """Inverse of ``_split_heads``, back to ``shape``."""
-    return nm.reshape(nm.permute(t, (0, 2, 1, 3)), shape)
-
-
-def msa(x: nm.Tensor, p: dict[str, nm.Tensor], heads: int, return_weights: bool = False):
+def msa(x: nm.Tensor, p: Mapping[str, nm.Tensor], heads: int, return_weights: bool = False):
     """Global multi-head self-attention over each sample's tokens.
 
     ``x`` is (L, d) or (N, L, d); every sample and head goes through one
-    batched product. Returns the attended tokens; with return_weights also
-    the softmax attention array of shape (heads, L, L), or (N, heads, L, L).
+    fused ``numerics.attention`` record. Returns the attended tokens; with
+    return_weights also the softmax attention array of shape (heads, L, L),
+    or (N, heads, L, L).
     """
     *lead, n, d = x.shape
     if d % heads:
         raise ContractError(f"token width {d} not divisible by {heads} heads")
-    batch = math.prod(lead)
-    q, k, v = (_split_heads(t, batch, n, heads) for t in _project_qkv(x, p))
-    out, weights = _batched_attention(q, k, v, d // heads, return_weights)
-    result = nm.affine(_merge_heads(out, x.shape), p["attn.wo"], p["attn.ob"])
+    attended = nm.attention(*_project_qkv(x, p), math.prod(lead), heads, return_weights)
     if return_weights:
-        return result, weights.reshape(*lead, heads, n, n)
-    return result
+        attended, weights = attended
+    result = nm.affine(attended, p["attn.wo"], p["attn.ob"])
+    return (result, weights.reshape(*lead, heads, n, n)) if return_weights else result
 
 
 def window_msa(
     x: nm.Tensor,
     grid: BlockGrid,
-    p: dict[str, nm.Tensor],
+    p: Mapping[str, nm.Tensor],
     heads: int,
     window: int,
     shift: int = 0,
@@ -180,11 +206,11 @@ def window_msa(
     """Multi-head self-attention restricted to w x w windows of the grid.
 
     ``x`` is (N*L, d): N token grids stacked row-wise. Every window of every
-    sample goes through one batched product. With ``shift`` the tiling is
-    cyclically rolled before windowing and unrolled afterwards. When the
-    window covers the whole grid this equals global attention with the same
-    parameters. With return_weights also the softmax attention array of
-    shape (N*windows, heads, w*w, w*w).
+    sample goes through one fused ``numerics.attention`` record. With
+    ``shift`` the tiling is cyclically rolled before windowing and unrolled
+    afterwards. When the window covers the whole grid this equals global
+    attention with the same parameters. With return_weights also the
+    softmax attention array of shape (N*windows, heads, w*w, w*w).
     """
     n, d = x.shape
     if n % grid.num_blocks:
@@ -193,11 +219,12 @@ def window_msa(
         raise ContractError(f"token width {d} not divisible by {heads} heads")
     order, inverse = window_permutation(
         grid.blocks_h, grid.blocks_w, window, shift, n // grid.num_blocks)
-    area = window * window
     xw = nm.permute_rows(x, order, inverse)
-    q, k, v = (_split_heads(t, n // area, area, heads) for t in _project_qkv(xw, p))
-    out, weights = _batched_attention(q, k, v, d // heads, return_weights)
-    projected = nm.affine(_merge_heads(out, (n, d)), p["attn.wo"], p["attn.ob"])
+    attended = nm.attention(*_project_qkv(xw, p), n // (window * window), heads,
+                            return_weights)
+    if return_weights:
+        attended, weights = attended
+    projected = nm.affine(attended, p["attn.wo"], p["attn.ob"])
     result = nm.permute_rows(projected, inverse, order)
     return (result, weights) if return_weights else result
 
@@ -206,42 +233,38 @@ def window_msa(
 # Blocks
 # ---------------------------------------------------------------------------
 
-def _feed_forward(x, p):
-    hidden = nm.gelu(nm.affine(x, p["ff.w1"], p["ff.b1"]))
-    return nm.affine(hidden, p["ff.w2"], p["ff.b2"])
-
-
-def _post_norm_pair(x, sublayer_out, sublayer2, p):
+def _post_norm_pair(x, attended, p):
     """Residual + norm, feed-forward, residual + norm (post-norm order)."""
-    x1 = nm.layer_norm(nm.add(sublayer_out, x), p["ln1.g"], p["ln1.b"])
-    x2 = nm.layer_norm(nm.add(sublayer2(x1), x1), p["ln2.g"], p["ln2.b"])
-    return x2
+    x1 = nm.residual_layer_norm(attended, x, p["ln1.g"], p["ln1.b"])
+    hidden = nm.affine_gelu(x1, p["ff.w1"], p["ff.b1"])
+    ff = nm.affine(hidden, p["ff.w2"], p["ff.b2"])
+    return nm.residual_layer_norm(ff, x1, p["ln2.g"], p["ln2.b"])
 
 
-def encoder_block(x: nm.Tensor, p: dict[str, nm.Tensor], heads: int) -> nm.Tensor:
+def encoder_block(x: nm.Tensor, p: Mapping[str, nm.Tensor], heads: int) -> nm.Tensor:
     """One post-norm transformer block: Norm(MSA(x)+x) then Norm(FF(.)+.)."""
-    return _post_norm_pair(x, msa(x, p, heads), lambda t: _feed_forward(t, p), p)
+    return _post_norm_pair(x, msa(x, p, heads), p)
 
 
 def window_block(
-    x: nm.Tensor, grid: BlockGrid, p: dict[str, nm.Tensor], heads: int, window: int, shift: int
+    x: nm.Tensor, grid: BlockGrid, p: Mapping[str, nm.Tensor], heads: int, window: int,
+    shift: int,
 ) -> nm.Tensor:
     """Post-norm block whose attention is restricted to (shifted) windows."""
-    attended = window_msa(x, grid, p, heads, window, shift)
-    return _post_norm_pair(x, attended, lambda t: _feed_forward(t, p), p)
+    return _post_norm_pair(x, window_msa(x, grid, p, heads, window, shift), p)
 
 
-def encode(x: nm.Tensor, params: dict[str, nm.Tensor], cfg: EncoderConfig) -> nm.Tensor:
+def encode(x: nm.Tensor, params: Mapping[str, nm.Tensor], cfg: EncoderConfig) -> nm.Tensor:
     """Apply the configured number of blocks in sequence. depth=0 is identity."""
     for i in range(cfg.depth):
-        x = encoder_block(x, subset(params, f"block{i}"), cfg.heads)
+        x = encoder_block(x, group(params, f"block{i}"), cfg.heads)
     return x
 
 
 def window_refine(
     x: nm.Tensor,
     grid: BlockGrid,
-    params: dict[str, nm.Tensor],
+    params: Mapping[str, nm.Tensor],
     heads: int,
     cfg: RefineConfig,
 ) -> nm.Tensor:
@@ -255,7 +278,7 @@ def window_refine(
     x = nm.reshape(x, (x.size // shape[-1], shape[-1]))
     for i in range(cfg.layers):
         shift = (cfg.window // 2) if i % 2 else 0
-        x = window_block(x, grid, subset(params, f"stl{i}"), heads, cfg.window, shift)
+        x = window_block(x, grid, group(params, f"stl{i}"), heads, cfg.window, shift)
     conv_out = conv3x3(x, grid.blocks_h, grid.blocks_w, params["conv.w"], params["conv.b"])
     if "conv.alpha" in params:
         scaled = nm.mul(conv_out, params["conv.alpha"])

@@ -9,6 +9,8 @@ scoring branch and sigmoid for the weighting branch so weights stay in
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from . import numerics as nm
@@ -33,8 +35,8 @@ def init_head_params(embed_dim: int, rng: np.random.Generator, std: float = 0.02
     return params
 
 
-def _branch(tokens: nm.Tensor, params: dict[str, nm.Tensor], name: str) -> nm.Tensor:
-    hidden = nm.gelu(nm.affine(tokens, params[f"{name}.w1"], params[f"{name}.b1"]))
+def _branch(tokens: nm.Tensor, params: Mapping[str, nm.Tensor], name: str) -> nm.Tensor:
+    hidden = nm.affine_gelu(tokens, params[f"{name}.w1"], params[f"{name}.b1"])
     return nm.affine(hidden, params[f"{name}.w2"], params[f"{name}.b2"])
 
 
@@ -53,7 +55,7 @@ def aggregate(scores: nm.Tensor, weights: nm.Tensor, eps: float = DENOMINATOR_EP
 
 
 def score(
-    tokens: nm.Tensor, params: dict[str, nm.Tensor], eps: float = DENOMINATOR_EPS
+    tokens: nm.Tensor, params: Mapping[str, nm.Tensor], eps: float = DENOMINATOR_EPS
 ) -> tuple[nm.Tensor, np.ndarray, np.ndarray]:
     """Pool token features into one quality score per sample.
 

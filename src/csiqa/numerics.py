@@ -10,6 +10,11 @@ is single-threaded: open a ``GradTape`` around the forward pass, then call
 its ``backward`` on a scalar loss to populate ``.grad`` on every reachable
 tensor with ``requires_grad=True``. Code that runs outside a tape performs
 no recording and is safe to run in parallel over read-only tensors.
+
+The encoder's hot path uses three fused kernels (``attention``,
+``residual_layer_norm``, ``affine_gelu``), one tape record each, that are
+bitwise equal to the chains of plain ops they stand for; the plain ops
+remain as their reference.
 """
 
 from __future__ import annotations
@@ -280,28 +285,33 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backprop)
 
 
+def _check_affine(x: Tensor, w: Tensor, b: Tensor) -> None:
+    if x.ndim < 2 or w.ndim != 2 or b.ndim != 1:
+        raise ShapeError(f"affine needs (>=2d, 2d, 1d), got {x.shape}, {w.shape}, {b.shape}")
+    if x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[0]:
+        raise ShapeError(f"affine extents incompatible: {x.shape} @ {w.shape} + {b.shape}")
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused ``x @ w + b`` over the last axis of x, bias broadcast over rows.
 
     Leading axes of x (a batch of samples) are treated as more rows.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim < 2 or w.ndim != 2 or b.ndim != 1:
-        raise ShapeError(f"affine needs (>=2d, 2d, 1d), got {x.shape}, {w.shape}, {b.shape}")
-    if x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[0]:
-        raise ShapeError(f"affine extents incompatible: {x.shape} @ {w.shape} + {b.shape}")
+    _check_affine(x, w, b)
     out = x.data @ w.data + b.data
+    return _make(out, (x, w, b), lambda g: _affine_backprop(x, w, b, g))
 
-    def backprop(g):
-        if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
-        rows = g.reshape(-1, g.shape[-1])
-        if w.requires_grad:
-            _accumulate(w, x.data.reshape(-1, w.shape[0]).T @ rows)
-        if b.requires_grad:
-            _accumulate(b, rows.sum(axis=0))
 
-    return _make(out, (x, w, b), backprop)
+def _affine_backprop(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Accumulate the gradients of ``x @ w + b`` given the output's ``g``."""
+    if x.requires_grad:
+        _accumulate(x, g @ w.data.T)
+    rows = g.reshape(-1, g.shape[-1])
+    if w.requires_grad:
+        _accumulate(w, x.data.reshape(-1, w.shape[0]).T @ rows)
+    if b.requires_grad:
+        _accumulate(b, rows.sum(axis=0))
 
 
 def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -569,6 +579,156 @@ def sigmoid(x: Tensor) -> Tensor:
             _accumulate(x, g * out * (1.0 - out))
 
     return _make(out, (x,), backprop)
+
+
+# ---------------------------------------------------------------------------
+# Fused encoder kernels
+#
+# Each is one tape record standing for a chain of the ops above, and each
+# is bitwise equal to that chain, forward and backward: it evaluates the
+# same expressions in the same order, only in place (``out=`` and augmented
+# ufuncs) and without the per-op records. Where an unfused op multiplied or
+# added in the other operand order, the fused one relies on IEEE ``*`` and
+# ``+`` being commutative. Matrix products keep the unfused operand layouts,
+# since a transposed view and a contiguous copy can take different BLAS
+# paths. A backward writes only into arrays it made or saved itself, never
+# into its incoming gradient or an input's data; it may consume its saved
+# arrays, because the tape replays each record once.
+# ---------------------------------------------------------------------------
+
+def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int,
+              return_weights: bool = False):
+    """Multi-head scaled dot-product attention as one tape record.
+
+    ``q``, ``k`` and ``v`` are projections of one shape (..., d) whose rows
+    form ``batch`` equal groups of tokens, group-major; each group attends
+    within itself, and head h uses columns [h*d/heads, (h+1)*d/heads).
+    Returns the attended rows in q's shape. With ``return_weights`` also a
+    copy of the softmax weights, shape (batch, heads, tokens, tokens).
+
+    Equal bit for bit to splitting heads, ``bmm(q, k^T)``, ``scale`` by
+    1/sqrt(d/heads), ``softmax``, ``bmm`` with v and merging heads.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.shape != k.shape or q.shape != v.shape:
+        raise ShapeError(f"attention q, k, v shapes differ: {q.shape}, {k.shape}, {v.shape}")
+    d = q.shape[-1]
+    rows = q.size // d
+    if batch < 1 or rows % batch or heads < 1 or d % heads:
+        raise ShapeError(
+            f"attention over {q.shape} cannot split into {batch} groups of {heads} heads")
+    tokens, head_dim = rows // batch, d // heads
+    split = (batch, tokens, heads, head_dim)
+    q4 = np.ascontiguousarray(q.data.reshape(split).transpose(0, 2, 1, 3))
+    kt = np.ascontiguousarray(k.data.reshape(split).transpose(0, 2, 3, 1))
+    v4 = np.ascontiguousarray(v.data.reshape(split).transpose(0, 2, 1, 3))
+    c = 1.0 / math.sqrt(head_dim)
+    weights = q4 @ kt
+    weights *= c
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+
+    def merge(t4):
+        return np.ascontiguousarray(t4.transpose(0, 2, 1, 3)).reshape(q.shape)
+
+    def backprop(g):
+        g4 = np.ascontiguousarray(g.reshape(split).transpose(0, 2, 1, 3))
+        if v.requires_grad:
+            _accumulate(v, merge(weights.swapaxes(-1, -2) @ g4))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        ds = g4 @ v4.swapaxes(-1, -2)
+        dot = ds * weights
+        ds -= dot.sum(axis=-1, keepdims=True)
+        ds *= weights
+        ds *= c
+        if q.requires_grad:
+            _accumulate(q, merge(ds @ kt.swapaxes(-1, -2)))
+        if k.requires_grad:
+            dk = q4.swapaxes(-1, -2) @ ds
+            _accumulate(k, np.ascontiguousarray(dk.transpose(0, 3, 1, 2)).reshape(k.shape))
+
+    out = _make(merge(weights @ v4), (q, k, v), backprop)
+    return (out, weights.copy()) if return_weights else out
+
+
+def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
+                        eps: float = 1e-8) -> Tensor:
+    """``layer_norm(add(x, y), gain, bias)`` as one tape record.
+
+    x and y receive one shared gradient array, as ``add`` hands them.
+    """
+    x, y, gain, bias = as_tensor(x), as_tensor(y), as_tensor(gain), as_tensor(bias)
+    if x.shape != y.shape:
+        raise ShapeError(f"residual_layer_norm shapes differ: {x.shape} and {y.shape}")
+    d = x.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(
+            f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
+    # sum / d is np.mean's own arithmetic, without its Python wrapper
+    xhat = x.data + y.data
+    xhat -= xhat.sum(axis=-1, keepdims=True) / d
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std
+    out = xhat * gain.data
+    out += bias.data
+
+    def backprop(g):
+        if bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.shape))
+        if gain.requires_grad:
+            _accumulate(gain, _unbroadcast(g * xhat, gain.shape))
+        if x.requires_grad or y.requires_grad:
+            gx = g * gain.data
+            t = gx * xhat
+            m2 = t.sum(axis=-1, keepdims=True) / d
+            gx -= gx.sum(axis=-1, keepdims=True) / d
+            gx -= np.multiply(xhat, m2, out=t)
+            gx *= inv_std
+            if x.requires_grad:
+                _accumulate(x, gx)
+            if y.requires_grad:
+                _accumulate(y, gx)
+
+    return _make(out, (x, y, gain, bias), backprop)
+
+
+def affine_gelu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``gelu(affine(x, w, b))`` as one tape record.
+
+    Saves ``tanh(u)``, ``0.5*h`` and ``h*h`` of the pre-activation h for
+    the backward, and nothing else of the hidden width.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    _check_affine(x, w, b)
+    h = x.data @ w.data
+    h += b.data
+    sq = h * h
+    t = sq * h
+    t *= _GELU_CUBIC
+    t += h
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    half = np.multiply(h, 0.5, out=h)
+    out = t + 1.0
+    out *= half
+
+    def backprop(g):
+        du = np.multiply(sq, 3.0 * _GELU_CUBIC, out=sq)
+        du += 1.0
+        du *= _SQRT_2_OVER_PI
+        local = t * t
+        np.subtract(1.0, local, out=local)
+        np.multiply(half, local, out=local)
+        local *= du
+        np.add(t, 1.0, out=du)
+        du *= 0.5
+        local += du
+        _affine_backprop(x, w, b, np.multiply(g, local, out=local))
+
+    return _make(out, (x, w, b), backprop)
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,11 @@ from .embedding import (
 )
 from .encoder import (
     EncoderConfig,
+    ParamGroup,
     RefineConfig,
     encode,
     init_encoder_params,
     init_refiner_params,
-    subset,
     window_refine,
 )
 from .errors import (
@@ -193,6 +193,14 @@ class ModelState:
 
     config: ModelConfig
     params: dict[str, nm.Tensor] = field(default_factory=dict)
+    _root: ParamGroup | None = field(default=None, init=False, repr=False, compare=False)
+
+    def group(self, name: str) -> ParamGroup:
+        """The parameters under ``name.`` (``enc``, ``refine0``, ``head``),
+        built once and read through to ``params``."""
+        if self._root is None or self._root.params is not self.params:
+            self._root = ParamGroup(self.params)
+        return self._root.group(name)
 
     def parameters(self) -> list[nm.Tensor]:
         return list(self.params.values())
@@ -246,11 +254,11 @@ def forward(imgs: np.ndarray, state: ModelState, ratio: float | None = None):
         tokens = bypass_embed(meas, cfg.embed_dim)
     tokens = nm.reshape(tokens, (meas.batch, meas.grid.num_blocks, cfg.embed_dim))
     x = add_position(tokens, PositionalTable(state.params["aem.pos"]))
-    x = encode(x, subset(state.params, "enc"), cfg.encoder_config())
+    x = encode(x, state.group("enc"), cfg.encoder_config())
     for j in range(cfg.refine_modules):
-        x = window_refine(x, meas.grid, subset(state.params, f"refine{j}"),
+        x = window_refine(x, meas.grid, state.group(f"refine{j}"),
                           cfg.heads, cfg.refine_config())
-    pooled, token_scores, token_weights = head_score(x, subset(state.params, "head"))
+    pooled, token_scores, token_weights = head_score(x, state.group("head"))
     diag = {
         "ratio": float(ratio),
         "measurements_per_block": meas.measurement_length,
@@ -391,7 +399,9 @@ def train(
     drawn image, and (in arbitrary mode) one ratio for the whole batch; all
     randomness comes from a single checkpointed stream, so training resumed
     from a checkpoint continues bit-identically. Returns both the final
-    state and the best-on-validation state (lowest validation MSE).
+    state and the best-on-validation state (lowest validation MSE). A
+    non-finite loss raises ``NumericalDivergenceError`` before its update,
+    and so does a non-finite parameter after the last update, by name.
     """
     settings = settings or TrainSettings()
     train_recs, _ = split_records(records, cfg.seed)
@@ -471,6 +481,10 @@ def train(
                 history["best_step"] = step + 1
                 best = _snapshot(state, opt, rng, history)
 
+    for name, p in state.params.items():
+        if not np.isfinite(p.data).all():
+            raise NumericalDivergenceError(
+                f"parameter {name} is non-finite after step {len(history['loss'])}")
     best_state = state
     if best is not None:
         best_state = ModelState(

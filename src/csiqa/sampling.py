@@ -344,4 +344,6 @@ def reconstruction_mse(
     matrix: SamplingMatrix, rec: CsnetReconstructor, corpus: list[np.ndarray], ratio: float
 ) -> float:
     """Mean reconstruction MSE of a (matrix, reconstructor) pair on a corpus."""
+    if not corpus:
+        raise ContractError("reconstruction corpus is empty")
     return _corpus_error(matrix, rec, corpus, ratio).item() / len(corpus)

@@ -149,6 +149,15 @@ class TestTrain:
         assert "non-finite" in capsys.readouterr().err
 
 
+    def test_nan_lr_exits_3_without_writing(self, toyset, tmp_path, capsys):
+        out = tmp_path / "m.ckpt"
+        args = ["train", "--manifest", toyset["manifest"], "--ratio", "0.25",
+                "--out", str(out), *TINY_TRAIN[:-4], "--steps", "1", "--lr", "nan"]
+        assert main(args) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEval:
     def test_prints_metrics(self, toyset, trained_ckpt, capsys):
         code = main(["eval", "--manifest", toyset["manifest"], "--ckpt", trained_ckpt,

@@ -119,8 +119,8 @@ class TestEncode:
         params = enc.init_encoder_params(cfg, rng)
         x = nm.Tensor(rng.normal(size=(4, 8)))
         stacked = enc.encode(x, params, cfg).data
-        step1 = enc.encoder_block(x, enc.subset(params, "block0"), 2)
-        step2 = enc.encoder_block(step1, enc.subset(params, "block1"), 2)
+        step1 = enc.encoder_block(x, enc.group(params, "block0"), 2)
+        step2 = enc.encoder_block(step1, enc.group(params, "block1"), 2)
         assert np.array_equal(stacked, step2.data)
 
     def test_gradient_vs_finite_differences(self, rng):
@@ -192,8 +192,8 @@ class TestWindowRefine:
         params = enc.init_refiner_params(d, 4 * d, cfg, rng)
         x = nm.Tensor(rng.normal(size=(4, d)))
         out = enc.window_refine(x, grid, params, heads, cfg).data
-        t = enc.window_block(x, grid, enc.subset(params, "stl0"), heads, 2, 0)
-        t = enc.window_block(t, grid, enc.subset(params, "stl1"), heads, 2, 1)
+        t = enc.window_block(x, grid, enc.group(params, "stl0"), heads, 2, 0)
+        t = enc.window_block(t, grid, enc.group(params, "stl1"), heads, 2, 1)
         assert np.array_equal(out, t.data)
 
     def test_matches_independent_step_by_step_evaluation(self, rng):

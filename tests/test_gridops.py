@@ -12,6 +12,8 @@ from csiqa import numerics as nm
 from csiqa.gridops import conv3x3, window_permutation
 from csiqa.sampling import BlockGrid
 
+from unfused import batched_attention, merge_heads, split_heads
+
 
 def conv3x3_index(height, width, batch):
     """Rows of each position's 3x3 neighbourhood, -1 = zero pad, position-major."""
@@ -40,9 +42,9 @@ def reference_window_msa(x, grid, p, heads, window, shift):
         grid.blocks_h, grid.blocks_w, window, shift, n // grid.num_blocks)
     area = window * window
     xw = nm.gather_rows(x, order)
-    q, k, v = (enc._split_heads(t, n // area, area, heads) for t in enc._project_qkv(xw, p))
-    out, _ = enc._batched_attention(q, k, v, d // heads)
-    projected = nm.affine(enc._merge_heads(out, (n, d)), p["attn.wo"], p["attn.ob"])
+    q, k, v = (split_heads(t, n // area, area, heads) for t in enc._project_qkv(xw, p))
+    out, _ = batched_attention(q, k, v, d // heads)
+    projected = nm.affine(merge_heads(out, (n, d)), p["attn.wo"], p["attn.ob"])
     return nm.gather_rows(projected, inverse)
 
 

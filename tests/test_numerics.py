@@ -255,10 +255,12 @@ class TestStructuralOps:
 
 @pytest.mark.parametrize("op_name", ["add", "sub", "mul", "div", "softmax", "layer_norm",
                                      "gelu", "relu", "sigmoid", "bmm", "affine", "gather",
-                                     "permute_rows", "conv3x3"])
+                                     "permute_rows", "conv3x3", "attention",
+                                     "residual_layer_norm", "affine_gelu"])
 def test_gradients_match_finite_differences(op_name, rng):
     """Every differentiable primitive vs central differences on 3 random shapes."""
-    structured = ("bmm", "affine", "gather", "permute_rows", "conv3x3")
+    structured = ("bmm", "affine", "gather", "permute_rows", "conv3x3", "attention",
+                  "residual_layer_norm", "affine_gelu")
     shapes = [(3,), (2, 4), (3, 2, 2)] if op_name not in structured else [(0,)] * 3
     for trial in range(3):
         if op_name == "bmm":
@@ -289,6 +291,19 @@ def test_gradients_match_finite_differences(op_name, rng):
             bias = nm.Tensor(rng.normal(size=(3,)), requires_grad=True)
             params = [x, w, bias]
             fwd = lambda: nm.sum_all(nm.sigmoid(conv3x3(x, 3, 4, w, bias)))
+        elif op_name == "attention":
+            # two groups of three tokens, two heads of width 2
+            params = [nm.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+                      for _ in range(3)]
+            fwd = lambda: nm.sum_all(nm.sigmoid(nm.attention(*params, 2, 2)))
+        elif op_name == "residual_layer_norm":
+            params = [nm.Tensor(rng.normal(size=s), requires_grad=True)
+                      for s in ((3, 4), (3, 4), (4,), (4,))]
+            fwd = lambda: nm.sum_all(nm.sigmoid(nm.residual_layer_norm(*params)))
+        elif op_name == "affine_gelu":
+            params = [nm.Tensor(rng.normal(size=s), requires_grad=True)
+                      for s in ((2, 2, 3), (3, 5), (5,))]
+            fwd = lambda: nm.sum_all(nm.sigmoid(nm.affine_gelu(*params)))
         else:
             shape = shapes[trial]
             x = nm.Tensor(rng.normal(size=shape), requires_grad=True)

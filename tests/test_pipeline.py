@@ -10,7 +10,7 @@ from csiqa import pipeline as pl
 from csiqa.checkpoint import array_to_bytes, read_checkpoint, write_checkpoint
 from csiqa.data import generate_toy_dataset, pad_to_size, random_crop, read_manifest
 from csiqa.embedding import PositionalTable, add_position
-from csiqa.encoder import encode, subset, window_refine
+from csiqa.encoder import encode, window_refine
 from csiqa.errors import CheckpointFormatError, ContractError, NumericalDivergenceError
 from csiqa.head import score as head_score
 from csiqa.sampling import split_blocks
@@ -57,10 +57,10 @@ class TestForward:
 
         blocks, grid = split_blocks(img, 4)
         x = add_position(nm.Tensor(blocks), PositionalTable(state.params["aem.pos"]))
-        x = encode(x, subset(state.params, "enc"), cfg.encoder_config())
-        x = window_refine(x, grid, subset(state.params, "refine0"), cfg.heads,
+        x = encode(x, state.group("enc"), cfg.encoder_config())
+        x = window_refine(x, grid, state.group("refine0"), cfg.heads,
                           cfg.refine_config())
-        direct, _, _ = head_score(x, subset(state.params, "head"))
+        direct, _, _ = head_score(x, state.group("head"))
         assert abs(via_model.item() - direct.item()) <= 1e-12
 
     def test_cs_iqa_bypass_width_guard(self):
@@ -109,6 +109,25 @@ class TestForward:
         for (name, t), ref in zip(checked.items(), fd):
             err = max_rel_err(t.grad if t.grad is not None else np.zeros_like(t.data), ref)
             assert err <= 1e-4, f"{name}: rel err {err}"
+
+    def test_parameter_groups_read_through_replaced_tensors(self, rng):
+        cfg = pl.ModelConfig(**TINY, seed=3)
+        state = pl.init_model(cfg)
+        img = rng.random((8, 8))
+        before, _ = pl.forward(img, state, 0.5)
+        head = state.group("head")
+        assert state.group("head") is head
+        assert state.group("enc").group("block0") is state.group("enc").group("block0")
+        assert dict(head) == {k[len("head."):]: v for k, v in state.params.items()
+                              if k.startswith("head.")}
+        bias = state.params["head.score.b2"]
+        state.params["head.score.b2"] = nm.Tensor(bias.data + 1.0, requires_grad=True)
+        assert head["score.b2"] is state.params["head.score.b2"]
+        shifted, _ = pl.forward(img, state, 0.5)
+        fresh, _ = pl.forward(img, pl.ModelState(cfg, dict(state.params)), 0.5)
+        assert shifted.item() == fresh.item() != before.item()
+        state.params = {**state.params, "head.score.b2": bias}
+        assert pl.forward(img, state, 0.5)[0].item() == before.item()
 
     def test_weight_map_reacts_to_half_noised_image(self, rng):
         from csiqa.head import weight_map
@@ -222,6 +241,13 @@ class TestTraining:
             pl.train(tiny_manifest, cfg,
                      pl.TrainSettings(batch=4, lr=1e154, weight_decay=0.0,
                                       steps=10, val_every=0))
+
+    def test_non_finite_last_update_raises_naming_the_parameter(self, tiny_manifest):
+        # the loss before the only update is finite; the update is not
+        cfg = pl.ModelConfig(**TINY, seed=0)
+        with pytest.raises(NumericalDivergenceError, match="parameter csm.phi .* step 1"):
+            pl.train(tiny_manifest, cfg,
+                     pl.TrainSettings(batch=4, lr=float("nan"), steps=1, val_every=0))
 
     def test_validation_tracking_selects_best(self, tiny_manifest):
         cfg = pl.ModelConfig(**TINY, seed=1)

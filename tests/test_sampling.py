@@ -247,6 +247,12 @@ class TestPretrain:
         with pytest.raises(ContractError):
             sp.pretrain_csm([], 0.5, epochs=1, lr=1e-3)
 
+    def test_empty_corpus_has_no_reconstruction_mse(self, rng):
+        matrix = sp.random_sampling_matrix(4, rng)
+        rec = sp.init_reconstructor(4, 0.25, rng, width=4)
+        with pytest.raises(ContractError, match="empty"):
+            sp.reconstruction_mse(matrix, rec, [], 0.25)
+
 
 def reference_pretrain(corpus, ratio, epochs, lr, block_size, width, seed):
     """Pretraining as one image at a time: the loss adds each image's mean
