@@ -121,21 +121,19 @@ def init_refiner_params(
     return params
 
 
-class ParamGroup(Mapping):
+class ParamGroup:
     """The parameters under one dotted prefix of a flat name -> tensor
     dict, keyed with the prefix stripped.
 
     Every lookup reads through to the flat dict, so a tensor replaced there
-    is seen at once and no copy can go stale. Sub-groups are built on first
-    use and kept, so a forward pays no scan over the names.
+    is seen at once and no copy can go stale.
     """
 
-    __slots__ = ("params", "prefix", "_groups")
+    __slots__ = ("params", "prefix")
 
     def __init__(self, params: dict[str, nm.Tensor], prefix: str = ""):
         self.params = params
         self.prefix = prefix
-        self._groups: dict[str, ParamGroup] = {}
 
     def __getitem__(self, key: str) -> nm.Tensor:
         return self.params[self.prefix + key]
@@ -143,26 +141,9 @@ class ParamGroup(Mapping):
     def __contains__(self, key) -> bool:
         return self.prefix + key in self.params
 
-    def __iter__(self):
-        start = len(self.prefix)
-        return (k[start:] for k in self.params if k.startswith(self.prefix))
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
     def group(self, name: str) -> "ParamGroup":
         """The sub-group under ``name.``."""
-        sub = self._groups.get(name)
-        if sub is None:
-            sub = self._groups[name] = ParamGroup(self.params, f"{self.prefix}{name}.")
-        return sub
-
-
-def group(params: Mapping[str, nm.Tensor], name: str) -> ParamGroup:
-    """The parameters under ``name.``; a plain dict is wrapped on the spot."""
-    if isinstance(params, ParamGroup):
-        return params.group(name)
-    return ParamGroup(params, f"{name}.")
+        return ParamGroup(self.params, f"{self.prefix}{name}.")
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +235,17 @@ def window_block(
     return _post_norm_pair(x, window_msa(x, grid, p, heads, window, shift), p)
 
 
-def encode(x: nm.Tensor, params: Mapping[str, nm.Tensor], cfg: EncoderConfig) -> nm.Tensor:
+def encode(x: nm.Tensor, params: ParamGroup, cfg: EncoderConfig) -> nm.Tensor:
     """Apply the configured number of blocks in sequence. depth=0 is identity."""
     for i in range(cfg.depth):
-        x = encoder_block(x, group(params, f"block{i}"), cfg.heads)
+        x = encoder_block(x, params.group(f"block{i}"), cfg.heads)
     return x
 
 
 def window_refine(
     x: nm.Tensor,
     grid: BlockGrid,
-    params: Mapping[str, nm.Tensor],
+    params: ParamGroup,
     heads: int,
     cfg: RefineConfig,
 ) -> nm.Tensor:
@@ -278,7 +259,7 @@ def window_refine(
     x = nm.reshape(x, (x.size // shape[-1], shape[-1]))
     for i in range(cfg.layers):
         shift = (cfg.window // 2) if i % 2 else 0
-        x = window_block(x, grid, group(params, f"stl{i}"), heads, cfg.window, shift)
+        x = window_block(x, grid, params.group(f"stl{i}"), heads, cfg.window, shift)
     conv_out = conv3x3(x, grid.blocks_h, grid.blocks_w, params["conv.w"], params["conv.b"])
     if "conv.alpha" in params:
         scaled = nm.mul(conv_out, params["conv.alpha"])

@@ -45,6 +45,8 @@ _pad_heap_top()
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
+# Variance floor of layer_norm and residual_layer_norm; keeps constant rows finite.
+_LN_EPS = 1e-8
 
 # Stack of currently recording tapes (innermost last). Single-writer.
 _ACTIVE_TAPES: list["GradTape"] = []
@@ -509,7 +511,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(y, (x,), backprop)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> Tensor:
     """Per-row normalization over the last axis, then affine gain and bias.
 
     Uses the biased variance. ``eps`` keeps the constant-row case finite.
@@ -653,8 +655,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int,
     return (out, weights.copy()) if return_weights else out
 
 
-def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
-                        eps: float = 1e-8) -> Tensor:
+def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """``layer_norm(add(x, y), gain, bias)`` as one tape record.
 
     x and y receive one shared gradient array, as ``add`` hands them.
@@ -670,7 +671,7 @@ def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
     xhat = x.data + y.data
     xhat -= xhat.sum(axis=-1, keepdims=True) / d
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv_std
     out = xhat * gain.data
     out += bias.data

@@ -193,14 +193,11 @@ class ModelState:
 
     config: ModelConfig
     params: dict[str, nm.Tensor] = field(default_factory=dict)
-    _root: ParamGroup | None = field(default=None, init=False, repr=False, compare=False)
 
     def group(self, name: str) -> ParamGroup:
         """The parameters under ``name.`` (``enc``, ``refine0``, ``head``),
-        built once and read through to ``params``."""
-        if self._root is None or self._root.params is not self.params:
-            self._root = ParamGroup(self.params)
-        return self._root.group(name)
+        read through to ``params``."""
+        return ParamGroup(self.params, name + ".")
 
     def parameters(self) -> list[nm.Tensor]:
         return list(self.params.values())

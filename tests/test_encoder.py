@@ -111,16 +111,17 @@ class TestEncode:
     def test_depth_zero_is_identity(self, rng):
         cfg = enc.EncoderConfig(depth=0, heads=2, embed_dim=8)
         x = rng.normal(size=(3, 8))
-        out = enc.encode(nm.Tensor(x), {}, cfg)
+        out = enc.encode(nm.Tensor(x), enc.ParamGroup({}), cfg)
         assert np.array_equal(out.data, x)
 
     def test_two_blocks_compose(self, rng):
         cfg = enc.EncoderConfig(depth=2, heads=2, embed_dim=8)
         params = enc.init_encoder_params(cfg, rng)
         x = nm.Tensor(rng.normal(size=(4, 8)))
-        stacked = enc.encode(x, params, cfg).data
-        step1 = enc.encoder_block(x, enc.group(params, "block0"), 2)
-        step2 = enc.encoder_block(step1, enc.group(params, "block1"), 2)
+        root = enc.ParamGroup(params)
+        stacked = enc.encode(x, root, cfg).data
+        step1 = enc.encoder_block(x, root.group("block0"), 2)
+        step2 = enc.encoder_block(step1, root.group("block1"), 2)
         assert np.array_equal(stacked, step2.data)
 
     def test_gradient_vs_finite_differences(self, rng):
@@ -131,7 +132,7 @@ class TestEncode:
         readout = nm.Tensor(rng.normal(size=(4, 8)))
 
         def fwd():
-            return nm.sum_all(nm.mul(enc.encode(x0, params, cfg), readout))
+            return nm.sum_all(nm.mul(enc.encode(x0, enc.ParamGroup(params), cfg), readout))
 
         with nm.GradTape() as tape:
             loss = fwd()
@@ -191,9 +192,10 @@ class TestWindowRefine:
         cfg = enc.RefineConfig(window=2, conv_scale=0.0)
         params = enc.init_refiner_params(d, 4 * d, cfg, rng)
         x = nm.Tensor(rng.normal(size=(4, d)))
-        out = enc.window_refine(x, grid, params, heads, cfg).data
-        t = enc.window_block(x, grid, enc.group(params, "stl0"), heads, 2, 0)
-        t = enc.window_block(t, grid, enc.group(params, "stl1"), heads, 2, 1)
+        root = enc.ParamGroup(params)
+        out = enc.window_refine(x, grid, root, heads, cfg).data
+        t = enc.window_block(x, grid, root.group("stl0"), heads, 2, 0)
+        t = enc.window_block(t, grid, root.group("stl1"), heads, 2, 1)
         assert np.array_equal(out, t.data)
 
     def test_matches_independent_step_by_step_evaluation(self, rng):
@@ -202,7 +204,7 @@ class TestWindowRefine:
         cfg = enc.RefineConfig(window=2, conv_scale=0.3)
         params = enc.init_refiner_params(d, 4 * d, cfg, rng)
         x = rng.normal(size=(4, d))
-        out = enc.window_refine(nm.Tensor(x), grid, params, heads, cfg).data
+        out = enc.window_refine(nm.Tensor(x), grid, enc.ParamGroup(params), heads, cfg).data
 
         pa = arrs(params)
         # both layers see the whole 2x2 grid as one window; the shifted
@@ -241,7 +243,7 @@ class TestWindowRefine:
         checked = [params["stl0.attn.wq"], params["conv.w"], params["conv.alpha"]]
 
         def fwd():
-            out = enc.window_refine(nm.Tensor(x), grid, params, heads, cfg)
+            out = enc.window_refine(nm.Tensor(x), grid, enc.ParamGroup(params), heads, cfg)
             return nm.sum_all(nm.mul(out, readout))
 
         with nm.GradTape() as tape:

@@ -116,10 +116,10 @@ class TestForward:
         img = rng.random((8, 8))
         before, _ = pl.forward(img, state, 0.5)
         head = state.group("head")
-        assert state.group("head") is head
-        assert state.group("enc").group("block0") is state.group("enc").group("block0")
-        assert dict(head) == {k[len("head."):]: v for k, v in state.params.items()
-                              if k.startswith("head.")}
+        for name, t in state.params.items():
+            if name.startswith("head."):
+                assert name[len("head."):] in head and head[name[len("head."):]] is t
+        assert state.group("enc").group("block0")["ln1.g"] is state.params["enc.block0.ln1.g"]
         bias = state.params["head.score.b2"]
         state.params["head.score.b2"] = nm.Tensor(bias.data + 1.0, requires_grad=True)
         assert head["score.b2"] is state.params["head.score.b2"]

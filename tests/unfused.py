@@ -40,8 +40,8 @@ def attention(q, k, v, batch, heads, return_weights=False):
     return (merged, weights.data.copy()) if return_weights else merged
 
 
-def residual_layer_norm(x, y, gain, bias, eps=1e-8):
-    return nm.layer_norm(nm.add(x, y), gain, bias, eps)
+def residual_layer_norm(x, y, gain, bias):
+    return nm.layer_norm(nm.add(x, y), gain, bias)
 
 
 def affine_gelu(x, w, b):
