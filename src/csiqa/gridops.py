@@ -4,7 +4,10 @@ Window attention reorders tokens by a cached permutation and its inverse
 (``window_permutation``), whose backward through ``numerics.permute_rows``
 is a gather by the inverse. The 3x3 convolution is one tape record whose
 input gradient is nine contiguous adds on the flattened zero-padded grid.
-Neither needs a scatter.
+Neither needs a scatter. With one output channel, as in the last layer of
+the pretraining reconstructor, each neighbour's share of the input
+gradient is one product per entry, so it is taken channel-major by
+broadcast multiplies, bitwise equal to the matrix product it replaces.
 """
 
 from __future__ import annotations
@@ -87,6 +90,13 @@ def _padded_input_grad(g: np.ndarray, weight: np.ndarray, height: int, width: in
     ``g`` laid at each window's corner row, neighbour k adds ``g_pad @ W_k.T``
     to one contiguous row range. k runs 8 to 0, as a scatter would reach
     each pixel.
+
+    With one output channel each entry of ``g_pad @ W_k.T`` is a single
+    product, rounded once however it is computed, so that case is done
+    channel-major: (C_in, rows) shares by broadcast multiplies, with no
+    matrix product of inner extent 1 and no adds over rows C_in wide.
+    Matrix products for more output channels stay row-major; channel-major
+    ones round differently for some shapes.
     """
     n, c_out = g.shape
     c_in = weight.shape[0] // 9
@@ -96,15 +106,23 @@ def _padded_input_grad(g: np.ndarray, weight: np.ndarray, height: int, width: in
     g_pad = np.zeros((batch, height + 2, pitch, c_out))
     g_pad[:, :height, :width] = g.reshape(batch, height, width, c_out)
     g_pad = g_pad.reshape(rows, c_out)[:corners]
+    offsets = [(k, k // 3 * pitch + k % 3) for k in range(8, -1, -1)]
+    if c_out == 1:
+        g_row = g_pad[:, 0]
+        shares = np.empty((c_in, corners))
+        gp = np.zeros((c_in, rows))
+        for k, off in offsets:
+            np.multiply(weight[k * c_in:(k + 1) * c_in], g_row, out=shares)
+            gp[:, off:off + corners] += shares
+        return gp.T.reshape(batch, height + 2, pitch, c_in)
     # one product for one channel: nine matrix-vector products would not
     # round as the reference's matrix product does
     shares = g_pad @ weight.T if c_in == 1 else np.empty((corners, c_in))
     gp = np.zeros((rows, c_in))
-    for k in range(8, -1, -1):
+    for k, off in offsets:
         if c_in == 1:
             share = shares[:, k:k + 1]
         else:
             share = np.matmul(g_pad, weight[k * c_in:(k + 1) * c_in].T, out=shares)
-        off = k // 3 * pitch + k % 3
         gp[off:off + corners] += share
     return gp.reshape(batch, height + 2, pitch, c_in)

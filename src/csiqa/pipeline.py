@@ -105,6 +105,10 @@ class ModelConfig:
             raise ContractError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.ratio_mode not in ("fixed", "arbitrary"):
             raise ContractError(f"ratio_mode must be fixed or arbitrary, got {self.ratio_mode!r}")
+        for name in ("block_size", "embed_dim", "heads", "window", "crop_size"):
+            if getattr(self, name) < 1:
+                raise ContractError(
+                    f"{name} must be a positive integer, got {getattr(self, name)}")
         if self.embed_dim % self.heads:
             raise ContractError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
@@ -282,6 +286,8 @@ def predict_image(
     The crops are drawn in order from ``rng`` and scored as one batched
     forward; their scores are summed in crop order.
     """
+    if n_crops < 1:
+        raise ContractError(f"crops must be a positive integer, got {n_crops}")
     cfg = state.config
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
@@ -354,6 +360,16 @@ class TrainSettings:
     epochs: int | None = None
     val_every: int | None = None  # 0 disables validation; None = once per epoch
     val_crops: int = 3
+
+    def __post_init__(self):
+        if self.batch < 1:
+            raise ContractError(f"batch must be a positive integer, got {self.batch}")
+        for name in ("steps", "epochs"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ContractError(f"{name} must be non-negative, got {value}")
+        if self.val_crops < 1:
+            raise ContractError(f"val_crops must be a positive integer, got {self.val_crops}")
 
     def total_steps(self, steps_per_epoch: int) -> int:
         if self.steps is not None:

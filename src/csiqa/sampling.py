@@ -305,11 +305,15 @@ def pretrain_csm(
     trained pieces plus the per-epoch loss before each step; a non-finite
     loss raises ``NumericalDivergenceError`` before its update. Pass
     ``train_matrix=False`` to keep the matrix frozen (baseline comparisons).
+    The matrix's ``requires_grad`` flag is left as it was passed in, on
+    return and on raise.
     """
     if not corpus:
         raise ContractError("pretraining corpus is empty")
     if width < 1:
         raise ContractError(f"pretraining width must be a positive integer, got {width}")
+    if epochs < 0:
+        raise ContractError(f"pretraining epochs must be non-negative, got {epochs}")
     # separate streams so paired runs share the reconstructor init exactly,
     # whether or not a frozen matrix is supplied
     matrix_rng = np.random.default_rng(np.random.SeedSequence([seed, 11, 0]))
@@ -320,23 +324,27 @@ def pretrain_csm(
         raise ContractError(
             f"matrix block size {matrix.block_size} != requested {block_size}")
     rec = init_reconstructor(block_size, ratio, recon_rng, width=width)
+    requires_grad = matrix.matrix.requires_grad
     matrix.matrix.requires_grad = bool(train_matrix)
     params = ([matrix.matrix] if train_matrix else []) + list(rec.params.values())
     state = nm.AdamState()
     losses: list[float] = []
-    for epoch in range(epochs):
-        for t in params:
-            t.zero_grad()
-        with nm.GradTape() as tape:
-            loss = nm.scale(_corpus_error(matrix, rec, corpus, ratio), 1.0 / len(corpus))
-        if not math.isfinite(loss.item()):
-            raise NumericalDivergenceError(f"non-finite pretraining loss at epoch {epoch + 1}")
-        losses.append(loss.item())
-        tape.backward(loss)
-        nm.adam_step(params, [t.grad for t in params], state, lr=lr)
+    try:
+        for epoch in range(epochs):
+            for t in params:
+                t.zero_grad()
+            with nm.GradTape() as tape:
+                loss = nm.scale(_corpus_error(matrix, rec, corpus, ratio), 1.0 / len(corpus))
+            if not math.isfinite(loss.item()):
+                raise NumericalDivergenceError(
+                    f"non-finite pretraining loss at epoch {epoch + 1}")
+            losses.append(loss.item())
+            tape.backward(loss)
+            nm.adam_step(params, [t.grad for t in params], state, lr=lr)
+    finally:
+        matrix.matrix.requires_grad = requires_grad
     if not all(np.isfinite(t.data).all() for t in params):
         raise NumericalDivergenceError(f"non-finite parameters after epoch {epochs}")
-    matrix.matrix.requires_grad = True
     return matrix, rec, losses
 
 

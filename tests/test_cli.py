@@ -245,6 +245,38 @@ class TestScore:
                      "--ckpt", trained_ckpt]) == 2
 
 
+class TestCountSettings:
+    """Out-of-range counts are input errors: exit 2, no output, no traceback."""
+
+    @pytest.mark.parametrize("command,flags,name", [
+        ("train", ["--batch", "0"], "batch"),
+        ("train", ["--batch", "-3"], "batch"),
+        ("train", ["--steps", "-1"], "steps"),
+        ("train", ["--steps", "0", "--epochs", "-1"], "epochs"),
+        ("train", ["--block-size", "0"], "block_size"),
+        ("train", ["--heads", "0"], "heads"),
+        ("pretrain", ["--epochs", "-1"], "epochs"),
+        ("eval", ["--crops", "0"], "crops"),
+        ("eval", ["--crops", "-2"], "crops"),
+        ("score", ["--crops", "0"], "crops"),
+    ])
+    def test_exits_2_without_writing(self, command, flags, name, toyset, trained_ckpt,
+                                     tmp_path, capsys):
+        out = tmp_path / "out"
+        inputs = {
+            "train": ["--manifest", toyset["manifest"], *TINY_TRAIN, "--out", str(out)],
+            "pretrain": ["--corpus", toyset["corpus"], "--width", "4", "--out", str(out)],
+            "eval": ["--manifest", toyset["manifest"], "--ckpt", trained_ckpt,
+                     "--report", str(out)],
+            "score": ["--image", toyset["image"], "--ckpt", trained_ckpt,
+                      "--weight-map", str(out)],
+        }[command]
+        assert main([command, *inputs, *flags]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestConfigFileAndSeeds:
     def test_config_file_values_used_and_flags_override(self, toyset, trained_ckpt,
                                                         tmp_path, capsys):

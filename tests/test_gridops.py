@@ -9,6 +9,7 @@ import pytest
 
 from csiqa import encoder as enc
 from csiqa import numerics as nm
+from csiqa import sampling as sp
 from csiqa.gridops import conv3x3, window_permutation
 from csiqa.sampling import BlockGrid
 
@@ -62,6 +63,9 @@ def value_and_grads(fn, inputs, readout):
 @pytest.mark.parametrize("batch,height,width,channels,out_channels", [
     pytest.param(8, 8, 8, 32, 6, id="8-8-8-32"),
     pytest.param(3, 5, 7, 4, 6, id="3-5-7-4"),
+    # one output channel: the channel-major input gradient
+    pytest.param(3, 5, 7, 4, 1, id="3-5-7-4-1"),
+    pytest.param(3, 5, 7, 1, 1, id="3-5-7-1-1"),
     # the three layers of a pretraining reconstructor on 8 images of 24x24
     (8, 24, 24, 1, 16),
     (8, 24, 24, 16, 16),
@@ -80,6 +84,44 @@ def test_conv3x3_bitwise_equals_gather_scatter_reference(
         lambda: reference_conv3x3(x, height, width, weight, bias), inputs, readout)
     for name, a, b in zip(("out", "x", "weight", "bias"), new, ref):
         assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("channels,out_channels", [(4, 1), (1, 1), (4, 6), (1, 16)])
+def test_conv3x3_backward_writes_only_its_own_arrays(channels, out_channels, rng):
+    """The backward leaves its incoming gradient, every input's data and
+    every earlier gradient untouched."""
+    height, width, batch = 5, 7, 3
+    n = batch * height * width
+    inputs = [
+        nm.Tensor(rng.normal(size=(n, channels)), requires_grad=True),
+        nm.Tensor(rng.normal(size=(9 * channels, out_channels)), requires_grad=True),
+        nm.Tensor(rng.normal(size=out_channels), requires_grad=True),
+    ]
+    for t in inputs:
+        t.grad = rng.normal(size=t.shape)
+    with nm.GradTape() as tape:
+        out = conv3x3(inputs[0], height, width, *inputs[1:])
+    g = rng.normal(size=out.shape)
+    earlier = [t.grad for t in inputs]
+    held = [g] + [t.data for t in inputs] + earlier
+    snapshots = [a.copy() for a in held]
+    ((_, backprop),) = tape._records
+    backprop(g)
+    for a, before in zip(held, snapshots):
+        assert np.array_equal(a, before)
+    assert all(t.grad is not e for t, e in zip(inputs, earlier))
+
+
+def test_pretraining_bitwise_equals_gather_scatter_conv(rng, monkeypatch):
+    corpus = [rng.random((24, 24)) for _ in range(3)]
+    args = dict(ratio=0.25, epochs=4, lr=3e-3, block_size=4, width=16, seed=2)
+    m_new, rec_new, losses_new = sp.pretrain_csm(corpus, **args)
+    monkeypatch.setattr(sp, "conv3x3", reference_conv3x3)
+    m_ref, rec_ref, losses_ref = sp.pretrain_csm(corpus, **args)
+    assert np.array_equal(losses_new, losses_ref)
+    assert np.array_equal(m_new.matrix.data, m_ref.matrix.data)
+    for name, t in rec_ref.params.items():
+        assert np.array_equal(rec_new.params[name].data, t.data), name
 
 
 @pytest.mark.parametrize("batch,shift", [(1, 0), (3, 1)])

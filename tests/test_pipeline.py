@@ -261,6 +261,18 @@ class TestTraining:
         assert best_entry["mse"] == best_mse
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("batch", 0), ("batch", -3), ("steps", -1), ("epochs", -1), ("val_crops", 0),
+    ])
+    def test_out_of_range_counts_rejected(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            pl.TrainSettings(**{field: value})
+
+    def test_zero_steps_and_epochs_allowed(self):
+        assert pl.TrainSettings(steps=0).total_steps(3) == 0
+        assert pl.TrainSettings(epochs=0).total_steps(3) == 0
+
+
 class TestPersistence:
     def test_save_load_save_byte_identical(self, tmp_path, tiny_manifest):
         cfg = pl.ModelConfig(**TINY, seed=2)
@@ -481,6 +493,12 @@ class TestEvaluation:
             total += score.item()
         assert got == total / n_crops
 
+    @pytest.mark.parametrize("n_crops", [0, -2])
+    def test_predict_image_needs_a_crop(self, n_crops):
+        state = pl.init_model(pl.ModelConfig(**TINY, seed=0))
+        with pytest.raises(ContractError, match="crops"):
+            pl.predict_image(np.zeros((12, 12)), state, 0.5, n_crops)
+
     def test_five_crop_prediction_deterministic(self, tiny_manifest):
         cfg = pl.ModelConfig(**TINY, seed=0)
         state = pl.init_model(cfg)
@@ -534,6 +552,11 @@ class TestConfig:
             pl.ModelConfig(window=3)  # 8-wide grid not divisible by 3
         with pytest.raises(ContractError):
             pl.ModelConfig(crop_size=30)
+
+    @pytest.mark.parametrize("field", ["block_size", "embed_dim", "heads", "window", "crop_size"])
+    def test_non_positive_sizes_rejected(self, field):
+        with pytest.raises(ContractError, match=field):
+            pl.ModelConfig(**{field: 0})
 
 
 def _minor_faults() -> int:

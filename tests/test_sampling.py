@@ -346,6 +346,31 @@ class TestBatchedPretrain:
         with pytest.raises(NumericalDivergenceError, match="epoch 1"):
             sp.pretrain_csm(corpus, 0.25, epochs=1, lr=float("nan"), block_size=4, width=4)
 
+    def test_negative_epochs_rejected(self, rng):
+        with pytest.raises(ContractError, match="epochs"):
+            sp.pretrain_csm([rng.random((8, 8))], 0.25, epochs=-1, lr=1e-3, width=4)
+
+    @pytest.mark.parametrize("flag", [False, True])
+    @pytest.mark.parametrize("train_matrix", [False, True])
+    def test_matrix_flag_left_as_passed(self, flag, train_matrix, rng):
+        matrix = sp.random_sampling_matrix(4, rng)
+        matrix.matrix.requires_grad = flag
+        sp.pretrain_csm([rng.random((8, 8))], 0.25, epochs=1, lr=1e-3, width=4,
+                        matrix=matrix, train_matrix=train_matrix)
+        assert matrix.matrix.requires_grad is flag
+
+    @pytest.mark.parametrize("flag", [False, True])
+    @pytest.mark.parametrize("train_matrix", [False, True])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matrix_flag_left_as_passed_on_divergence(self, flag, train_matrix, rng):
+        matrix = sp.random_sampling_matrix(4, rng)
+        matrix.matrix.requires_grad = flag
+        corpus = [rng.random((8, 8)) for _ in range(2)]
+        with pytest.raises(NumericalDivergenceError, match="epoch 2"):
+            sp.pretrain_csm(corpus, 0.25, epochs=4, lr=float("nan"), width=4,
+                            matrix=matrix, train_matrix=train_matrix)
+        assert matrix.matrix.requires_grad is flag
+
     def test_non_positive_width_rejected(self, rng):
         with pytest.raises(ContractError, match="width"):
             sp.pretrain_csm([rng.random((8, 8))], 0.25, epochs=1, lr=1e-3, width=-3)
