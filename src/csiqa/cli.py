@@ -1,7 +1,9 @@
 """Command-line interface: pretraining, training, evaluation, scoring.
 
+Each setting is declared once in ``SETTINGS`` and each subcommand once in
+``COMMANDS``; ``build_parser`` makes every flag from those two tables.
 Settings resolve in order: command-line flag, then config-file entry
-(``key=value`` lines, ``#`` comments), then the built-in default; every
+(``key=value`` lines, ``#`` comments), then the subcommand's default; every
 effective setting is echoed in a run header so logged runs are
 self-describing. Exit codes: 0 success, 2 usage or input error, 3
 numerical failure (non-finite loss).
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,7 +22,6 @@ from .data import center_crop, generate_toy_dataset, read_manifest, split_record
 from .errors import CheckpointError, ContractError, NumericalDivergenceError
 from .head import weight_map
 from .pipeline import (
-    DEFAULT_RATIO_SET,
     ModelConfig,
     TrainSettings,
     evaluate,
@@ -61,34 +63,97 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def resolve_settings(args, spec: dict[str, tuple]) -> dict:
-    """Merge flag > config file > default for every known setting.
+def _ratio(text: str) -> float:
+    """A fixed sampling ratio in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(text)
+    return value
+
+
+def _ratio_or_r(text: str):
+    """'r' selects arbitrary-ratio mode; otherwise a fixed ratio."""
+    return "r" if text == "r" else _ratio(text)
+
+
+# One row per setting: name -> (caster, help). Its flag is --name with "-"
+# for "_", its config-file key is the name, and flag text and file text both
+# go through the caster.
+SETTINGS = {
+    "variant": (str, "cl-iqa or cs-iqa"),
+    "ratio": (_ratio, "sampling ratio in (0, 1]"),
+    "block_size": (int, "sampling block side in pixels"),
+    "embed_dim": (int, "token width"),
+    "depth": (int, "encoder blocks"),
+    "heads": (int, "attention heads"),
+    "window": (int, "refinement window side in tokens"),
+    "crop_size": (int, "crop side in pixels"),
+    "embed_gain": (float, "embedding output gain"),
+    "batch": (int, "crops per training batch"),
+    "lr": (float, "Adam learning rate"),
+    "weight_decay": (float, "coupled weight decay"),
+    "epochs": (int, "passes over the data"),
+    "steps": (int, "optimizer steps; 0 trains for --epochs"),
+    "width": (int, "reconstructor hidden width"),
+    "crops": (int, "random crops averaged per image"),
+    "count": (int, "number of images"),
+    "size": (int, "image side in pixels"),
+    "kind": (str, "noise or blur"),
+    "seed": (int, "RNG seed (default: env CSIQA_SEED or 0)"),
+}
+
+_KINDS = {int: "an integer", float: "a number", _ratio: "a number in (0, 1]",
+          _ratio_or_r: "a number in (0, 1] or 'r'"}
+
+
+class Command(NamedTuple):
+    """One subcommand: the settings it takes with their defaults, and its
+    path flags (name -> (required, help); flag-only, not config keys)."""
+
+    run: Callable[[dict], int]
+    help: str
+    settings: dict
+    paths: dict
+    rows: dict = {}  # SETTINGS rows this subcommand replaces
+
+    def row(self, key: str) -> tuple:
+        return self.rows.get(key) or SETTINGS[key]
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def resolve_settings(args) -> dict:
+    """Merge flag > config file > default for every setting the subcommand
+    takes, then add its path flags as given.
 
     A callable default (the env-var seed) is called only when neither the
     flag nor the config file sets the key.
     """
-    file_cfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = set(file_cfg) - set(spec)
+    command = COMMANDS[args.command]
+    file_cfg = parse_config_file(args.config) if args.config else {}
+    unknown = set(file_cfg) - set(command.settings)
     if unknown:
         raise ContractError(f"unknown config file keys: {sorted(unknown)}")
     resolved = {}
-    for key, (default, caster) in spec.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in file_cfg:
-            try:
-                resolved[key] = caster(file_cfg[key])
-            except ValueError:
-                raise ContractError(
-                    f"config file value for {key} is not a valid "
-                    f"{caster.__name__}: {file_cfg[key]!r}") from None
-        else:
+    for key, default in command.settings.items():
+        text = getattr(args, key)
+        if text is None:
+            text = file_cfg.get(key)
+        if text is None:
             resolved[key] = default() if callable(default) else default
-    if resolved.get("seed", 0) < 0:
-        source = ("--seed" if getattr(args, "seed", None) is not None
+            continue
+        caster = command.row(key)[0]
+        try:
+            resolved[key] = caster(text)
+        except ValueError:
+            raise ContractError(f"{key} must be {_KINDS[caster]}, got {text!r}") from None
+    if resolved["seed"] < 0:
+        source = ("--seed" if args.seed is not None
                   else f"config file {args.config}" if "seed" in file_cfg else "CSIQA_SEED")
         raise ContractError(f"seed must be non-negative, got {resolved['seed']} (from {source})")
+    resolved.update((name, getattr(args, name)) for name in command.paths)
     return resolved
 
 
@@ -96,19 +161,6 @@ def print_header(command: str, settings: dict) -> None:
     print(f"# csiqa {command}")
     for key in sorted(settings):
         print(f"# {key} = {settings[key]}")
-
-
-def _parse_ratio(text: str):
-    """'r' selects arbitrary-ratio mode; otherwise a float in (0, 1]."""
-    if text == "r":
-        return "r"
-    try:
-        value = float(text)
-    except ValueError:
-        raise ContractError(f"ratio must be a number in (0, 1] or 'r', got {text!r}") from None
-    if not 0.0 < value <= 1.0:
-        raise ContractError(f"ratio must be in (0, 1], got {value}")
-    return value
 
 
 def _load_corpus(directory) -> list:
@@ -128,79 +180,37 @@ def _load_corpus(directory) -> list:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_pretrain(args) -> int:
-    spec = {
-        "ratio": (0.25, float),
-        "epochs": (200, int),
-        "lr": (1e-2, float),
-        "block_size": (4, int),
-        "width": (16, int),
-        "seed": (_env_seed, int),
-    }
-    s = resolve_settings(args, spec)
-    ratio = _parse_ratio(str(s["ratio"]))
-    if ratio == "r":
-        raise ContractError("pretraining needs a fixed ratio, not 'r'")
-    s["corpus"], s["out"], s["ratio"] = args.corpus, args.out, ratio
-    print_header("pretrain", s)
-    corpus = _load_corpus(args.corpus)
+def cmd_pretrain(s: dict) -> int:
+    corpus = _load_corpus(s["corpus"])
     matrix, rec, losses = pretrain_csm(
-        corpus, ratio, epochs=s["epochs"], lr=s["lr"],
+        corpus, s["ratio"], epochs=s["epochs"], lr=s["lr"],
         block_size=s["block_size"], width=s["width"], seed=s["seed"])
     for i, loss in enumerate(losses):
         if i % max(1, len(losses) // 10) == 0 or i == len(losses) - 1:
             print(f"epoch {i}: mse={loss:.6g}")
-    save_pretrained_csm(args.out, matrix, rec, ratio, losses)
+    save_pretrained_csm(s["out"], matrix, rec, s["ratio"], losses)
     if losses:
         print(f"final mse={losses[-1]:.6g} (initial {losses[0]:.6g})")
-    print(f"wrote {args.out}")
+    print(f"wrote {s['out']}")
     return 0
 
 
-def cmd_train(args) -> int:
-    spec = {
-        "variant": ("cl-iqa", str),
-        "ratio": (0.1, str),
-        "block_size": (4, int),
-        "embed_dim": (32, int),
-        "depth": (2, int),
-        "heads": (4, int),
-        "window": (2, int),
-        "crop_size": (32, int),
-        "embed_gain": (1.0, float),
-        "batch": (8, int),
-        "lr": (1e-5, float),
-        "weight_decay": (1e-5, float),
-        "epochs": (100, int),
-        "steps": (0, int),
-        "seed": (_env_seed, int),
-    }
-    s = resolve_settings(args, spec)
-    ratio = _parse_ratio(str(s["ratio"]))
-    s["manifest"], s["out"], s["csm"] = args.manifest, args.out, args.csm
-    print_header("train", s)
-    records = read_manifest(args.manifest)
-    cfg = ModelConfig(
-        variant=s["variant"],
-        block_size=s["block_size"],
-        embed_dim=s["embed_dim"],
-        depth=s["depth"],
-        heads=s["heads"],
-        window=s["window"],
-        crop_size=s["crop_size"],
-        embed_gain=s["embed_gain"],
-        ratio_mode="arbitrary" if ratio == "r" else "fixed",
-        ratio=0.1 if ratio == "r" else ratio,
-        ratio_set=DEFAULT_RATIO_SET,
-        seed=s["seed"],
-    )
-    settings = TrainSettings(
-        batch=s["batch"], lr=s["lr"], weight_decay=s["weight_decay"],
-        steps=s["steps"] or None, epochs=None if s["steps"] else s["epochs"])
-    result = train(records, cfg, settings, csm_checkpoint=args.csm)
-    if args.csm is not None:
-        _, _, csm_meta, _ = load_pretrained_csm(args.csm)
-        print(f"# initialized sampling matrix from {args.csm} "
+_MODEL_KEYS = ("variant", "ratio", "block_size", "embed_dim", "depth", "heads",
+               "window", "crop_size", "embed_gain")
+_OPTIMIZER_KEYS = ("batch", "lr", "weight_decay", "epochs")
+
+
+def cmd_train(s: dict) -> int:
+    records = read_manifest(s["manifest"])
+    model = {k: s[k] for k in _MODEL_KEYS}
+    if model["ratio"] == "r":
+        model.update(ratio_mode="arbitrary", ratio=ModelConfig.ratio)
+    cfg = ModelConfig(**model, seed=s["seed"])
+    settings = TrainSettings(**{k: s[k] for k in _OPTIMIZER_KEYS}, steps=s["steps"] or None)
+    result = train(records, cfg, settings, csm_checkpoint=s["csm"])
+    if s["csm"] is not None:
+        _, _, csm_meta, _ = load_pretrained_csm(s["csm"])
+        print(f"# initialized sampling matrix from {s['csm']} "
               f"(pretrained at ratio {csm_meta['ratio']})")
     if result.history["val"]:
         best_step = result.history.get("best_step")
@@ -210,77 +220,49 @@ def cmd_train(args) -> int:
             print(f"best val step={best_step} mse={best_entry['mse']:.6g} "
                   f"srcc={'n/a' if rank is None else f'{rank:.4f}'}")
     if result.best is not None:
-        save_model(args.out, result.best_state,
+        save_model(s["out"], result.best_state,
                    optimizer=None, rng=None, history=result.best["history"])
     else:
-        save_model(args.out, result.state, optimizer=result.optimizer,
+        save_model(s["out"], result.state, optimizer=result.optimizer,
                    rng=result.rng, history=result.history)
     print(f"final train loss={result.history['loss'][-1]:.6g}" if result.history["loss"]
           else "no training steps run")
-    print(f"wrote {args.out}")
+    print(f"wrote {s['out']}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    spec = {
-        "ratio": (None, str),
-        "crops": (5, int),
-        "seed": (_env_seed, int),
-    }
-    s = resolve_settings(args, spec)
-    ratio = None if s["ratio"] is None else _parse_ratio(str(s["ratio"]))
-    if ratio == "r":
-        raise ContractError("evaluation needs a fixed ratio, not 'r'")
-    s["manifest"], s["ckpt"], s["report"] = args.manifest, args.ckpt, args.report
-    print_header("eval", s)
-    records = read_manifest(args.manifest)
-    loaded = load_model(args.ckpt)
-    result = evaluate(records, loaded.state, ratio=ratio, n_crops=s["crops"], seed=s["seed"])
-    if args.report:
+def cmd_eval(s: dict) -> int:
+    records = read_manifest(s["manifest"])
+    loaded = load_model(s["ckpt"])
+    result = evaluate(records, loaded.state, ratio=s["ratio"], n_crops=s["crops"], seed=s["seed"])
+    if s["report"]:
         _, test = split_records(records, loaded.state.config.seed)
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+        with open(s["report"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write("path,mos,score\n")
             for rec, sc in zip(test, result["scores"]):
                 fh.write(f"{rec.path},{rec.mos!r},{sc!r}\n")
-        print(f"wrote report {args.report}")
+        print(f"wrote report {s['report']}")
     print(f"PLCC={result['plcc']:.6f} SRCC={result['srcc']:.6f}")
     return 0
 
 
-def cmd_score(args) -> int:
-    spec = {
-        "ratio": (None, str),
-        "crops": (5, int),
-        "seed": (_env_seed, int),
-    }
-    s = resolve_settings(args, spec)
-    ratio = None if s["ratio"] is None else _parse_ratio(str(s["ratio"]))
-    s["image"], s["ckpt"], s["weight_map"] = args.image, args.ckpt, args.weight_map
-    print_header("score", s)
-    img = read_image(args.image)
-    loaded = load_model(args.ckpt)
+def cmd_score(s: dict) -> int:
+    img = read_image(s["image"])
+    loaded = load_model(s["ckpt"])
     rng = np.random.default_rng(np.random.SeedSequence([s["seed"], 3, 0]))
-    value = predict_image(img, loaded.state, ratio=ratio, n_crops=s["crops"], rng=rng)
-    if args.weight_map:
-        _write_weight_map(img, loaded.state, ratio, args.weight_map)
-        print(f"wrote weight map {args.weight_map}")
+    value = predict_image(img, loaded.state, ratio=s["ratio"], n_crops=s["crops"], rng=rng)
+    if s["weight_map"]:
+        _write_weight_map(img, loaded.state, s["ratio"], s["weight_map"])
+        print(f"wrote weight map {s['weight_map']}")
     print(f"{value:.10g}")
     return 0
 
 
-def cmd_weight_map(args) -> int:
-    spec = {
-        "ratio": (None, str),
-        "seed": (_env_seed, int),
-    }
-    s = resolve_settings(args, spec)
-    ratio = None if s["ratio"] is None else _parse_ratio(str(s["ratio"]))
-    s["image"], s["ckpt"], s["out"] = args.image, args.ckpt, args.out
-    print_header("weight-map", s)
-    img = read_image(args.image)
-    loaded = load_model(args.ckpt)
-    _write_weight_map(img, loaded.state, ratio, args.out)
-    print(f"wrote weight map {args.out}")
+def cmd_weight_map(s: dict) -> int:
+    img = read_image(s["image"])
+    loaded = load_model(s["ckpt"])
+    _write_weight_map(img, loaded.state, s["ratio"], s["out"])
+    print(f"wrote weight map {s['out']}")
     return 0
 
 
@@ -292,17 +274,8 @@ def _write_weight_map(img, state, ratio, out_path) -> None:
     write_pgm(out_path, grid_img)
 
 
-def cmd_make_toy(args) -> int:
-    spec = {
-        "count": (32, int),
-        "size": (40, int),
-        "kind": ("noise", str),
-        "seed": (_env_seed, int),
-    }
-    s = resolve_settings(args, spec)
-    s["out"] = args.out
-    print_header("make-toy", s)
-    manifest = generate_toy_dataset(args.out, n_images=s["count"], size=s["size"],
+def cmd_make_toy(s: dict) -> int:
+    manifest = generate_toy_dataset(s["out"], n_images=s["count"], size=s["size"],
                                     seed=s["seed"], kind=s["kind"])
     print(f"wrote {manifest}")
     return 0
@@ -312,82 +285,55 @@ def cmd_make_toy(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+COMMANDS = {
+    "pretrain": Command(
+        cmd_pretrain, "pretrain the sampling matrix on an image corpus",
+        {"ratio": 0.25, "epochs": 200, "lr": 1e-2, "block_size": 4, "width": 16,
+         "seed": _env_seed},
+        {"corpus": (True, "directory of PGM/PPM images"),
+         "out": (True, "output checkpoint path")}),
+    "train": Command(
+        cmd_train, "train a quality model on a manifest",
+        {**{k: getattr(ModelConfig, k) for k in _MODEL_KEYS},
+         **{k: getattr(TrainSettings, k) for k in _OPTIMIZER_KEYS},
+         "steps": 0, "seed": _env_seed},
+        {"manifest": (True, None),
+         "csm": (False, "pretrained sampling checkpoint to initialize from"),
+         "out": (True, None)},
+        rows={"ratio": (_ratio_or_r, "sampling ratio in (0, 1], or 'r' for arbitrary")}),
+    "eval": Command(
+        cmd_eval, "evaluate a checkpoint on a manifest's test split",
+        {"ratio": None, "crops": 5, "seed": _env_seed},
+        {"manifest": (True, None), "ckpt": (True, None),
+         "report": (False, "write per-image scores to this CSV")}),
+    "score": Command(
+        cmd_score, "score one image",
+        {"ratio": None, "crops": 5, "seed": _env_seed},
+        {"image": (True, None), "ckpt": (True, None),
+         "weight_map": (False, "also write the token weight map (PGM)")}),
+    "weight-map": Command(
+        cmd_weight_map, "write the token weight map for one image",
+        {"ratio": None, "seed": _env_seed},
+        {"image": (True, None), "ckpt": (True, None), "out": (True, None)}),
+    "make-toy": Command(
+        cmd_make_toy, "generate the synthetic toy dataset",
+        {"count": 32, "size": 40, "kind": "noise", "seed": _env_seed},
+        {"out": (True, "output directory")}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csiqa",
         description="No-reference image quality assessment from compressed block measurements.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for path, (required, help_text) in command.paths.items():
+            p.add_argument(_flag(path), dest=path, required=required, help=help_text)
+        for key in command.settings:
+            p.add_argument(_flag(key), dest=key, help=command.row(key)[1])
         p.add_argument("--config", help="key=value settings file; flags override it")
-        p.add_argument("--seed", type=int, help="RNG seed (default: env CSIQA_SEED or 0)")
-
-    p = sub.add_parser("pretrain", help="pretrain the sampling matrix on an image corpus")
-    p.add_argument("--corpus", required=True, help="directory of PGM/PPM images")
-    p.add_argument("--ratio", help="sampling ratio in (0, 1]")
-    p.add_argument("--out", required=True, help="output checkpoint path")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--block-size", dest="block_size", type=int)
-    p.add_argument("--width", type=int, help="reconstructor hidden width")
-    common(p)
-    p.set_defaults(func=cmd_pretrain)
-
-    p = sub.add_parser("train", help="train a quality model on a manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--variant", choices=["cl-iqa", "cs-iqa"])
-    p.add_argument("--ratio", help="sampling ratio in (0, 1], or 'r' for arbitrary")
-    p.add_argument("--csm", help="pretrained sampling checkpoint to initialize from")
-    p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--block-size", dest="block_size", type=int)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--crop-size", dest="crop_size", type=int)
-    p.add_argument("--embed-gain", dest="embed_gain", type=float)
-    common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest's test split")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--ratio", help="override the evaluation sampling ratio")
-    p.add_argument("--crops", type=int)
-    p.add_argument("--report", help="write per-image scores to this CSV")
-    common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("score", help="score one image")
-    p.add_argument("--image", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--ratio")
-    p.add_argument("--crops", type=int)
-    p.add_argument("--weight-map", dest="weight_map", help="also write the token weight map (PGM)")
-    common(p)
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("weight-map", help="write the token weight map for one image")
-    p.add_argument("--image", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--ratio")
-    common(p)
-    p.set_defaults(func=cmd_weight_map)
-
-    p = sub.add_parser("make-toy", help="generate the synthetic toy dataset")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--count", type=int)
-    p.add_argument("--size", type=int)
-    p.add_argument("--kind", choices=["noise", "blur"])
-    common(p)
-    p.set_defaults(func=cmd_make_toy)
-
     return parser
 
 
@@ -398,7 +344,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
-        return args.func(args)
+        settings = resolve_settings(args)
+        print_header(args.command, settings)
+        return COMMANDS[args.command].run(settings)
     except NumericalDivergenceError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

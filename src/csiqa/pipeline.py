@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -151,25 +151,9 @@ class ModelConfig:
         return RefineConfig(self.window, self.conv_scale)
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "block_size": self.block_size,
-            "embed_dim": self.embed_dim,
-            "depth": self.depth,
-            "heads": self.heads,
-            "window": self.window,
-            "conv_scale": self.conv_scale,
-            "learnable_scale": self.learnable_scale,
-            "refine_modules": self.refine_modules,
-            "ratio_mode": self.ratio_mode,
-            "ratio": self.ratio,
-            "ratio_set": list(self.ratio_set),
-            "crop_size": self.crop_size,
-            "ff_hidden": self.ff_hidden,
-            "init_std": self.init_std,
-            "embed_gain": self.embed_gain,
-            "seed": self.seed,
-        }
+        d = asdict(self)
+        d["ratio_set"] = list(self.ratio_set)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -351,13 +335,16 @@ def evaluate(
 
 @dataclass
 class TrainSettings:
-    """Optimization protocol: batches of 8, Adam, coupled weight decay."""
+    """Optimization protocol: batches of 8, Adam, coupled weight decay.
+
+    Runs ``steps`` updates when set, else ``epochs`` passes over the data.
+    """
 
     batch: int = 8
     lr: float = 1e-5
     weight_decay: float = 1e-5
     steps: int | None = None
-    epochs: int | None = None
+    epochs: int = 100
     val_every: int | None = None  # 0 disables validation; None = once per epoch
     val_crops: int = 3
 
@@ -372,10 +359,7 @@ class TrainSettings:
             raise ContractError(f"val_crops must be a positive integer, got {self.val_crops}")
 
     def total_steps(self, steps_per_epoch: int) -> int:
-        if self.steps is not None:
-            return self.steps
-        epochs = 100 if self.epochs is None else self.epochs
-        return epochs * steps_per_epoch
+        return self.steps if self.steps is not None else self.epochs * steps_per_epoch
 
 
 @dataclass

@@ -310,6 +310,8 @@ def pretrain_csm(
     """
     if not corpus:
         raise ContractError("pretraining corpus is empty")
+    if block_size < 1:
+        raise ContractError(f"pretraining block_size must be a positive integer, got {block_size}")
     if width < 1:
         raise ContractError(f"pretraining width must be a positive integer, got {width}")
     if epochs < 0:

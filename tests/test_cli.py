@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from csiqa.checkpoint import read_checkpoint, write_checkpoint
-from csiqa.cli import main
+from csiqa.cli import COMMANDS, SETTINGS, main
 from csiqa.data import generate_toy_dataset
 from csiqa.pipeline import load_model, load_pretrained_csm, save_model
 from csiqa.pnm import read_image
@@ -259,6 +259,13 @@ class TestCountSettings:
         ("eval", ["--crops", "0"], "crops"),
         ("eval", ["--crops", "-2"], "crops"),
         ("score", ["--crops", "0"], "crops"),
+        ("score", ["--ratio", "r"], "ratio"),
+        ("weight-map", ["--ratio", "r"], "ratio"),
+        ("pretrain", ["--block-size", "0"], "block_size"),
+        ("make-toy", ["--count", "0"], "count"),
+        ("make-toy", ["--count", "-2"], "count"),
+        ("make-toy", ["--size", "0"], "size"),
+        ("make-toy", ["--kind", "foo"], "kind"),
     ])
     def test_exits_2_without_writing(self, command, flags, name, toyset, trained_ckpt,
                                      tmp_path, capsys):
@@ -270,11 +277,87 @@ class TestCountSettings:
                      "--report", str(out)],
             "score": ["--image", toyset["image"], "--ckpt", trained_ckpt,
                       "--weight-map", str(out)],
+            "weight-map": ["--image", toyset["image"], "--ckpt", trained_ckpt,
+                           "--out", str(out)],
+            "make-toy": ["--out", str(out)],
         }[command]
         assert main([command, *inputs, *flags]) == 2
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_unknown_toy_kind_in_config_file_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("kind = foo\n", encoding="utf-8")
+        out = tmp_path / "gen"
+        assert main(["make-toy", "--out", str(out), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "kind" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def _sample_text(caster) -> str:
+    """Text that the setting's caster accepts."""
+    for text in ("3", "0.5"):
+        try:
+            caster(text)
+            return text
+        except ValueError:
+            pass
+    raise AssertionError(f"no sample text for {caster}")
+
+
+class TestSettingsTable:
+    """Every setting a subcommand's table entry lists works as a flag and as a
+    config-file key, with one caster; settings it does not list are unknown."""
+
+    TAKEN = [(c, k) for c, cmd in COMMANDS.items() for k in cmd.settings]
+    NOT_TAKEN = [(c, k) for c, cmd in COMMANDS.items() for k in SETTINGS
+                 if k not in cmd.settings]
+
+    @staticmethod
+    def _run(command, extra, tmp_path, capsys):
+        paths = [arg for name, (required, _) in COMMANDS[command].paths.items() if required
+                 for arg in ("--" + name.replace("_", "-"), str(tmp_path / "missing" / name))]
+        code = main([command, *paths, *extra])
+        captured = capsys.readouterr()
+        header = [line for line in captured.out.splitlines() if line.startswith("# ")]
+        return code, header, captured.err
+
+    def _both_sources(self, command, key, text, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+        from_flag = self._run(command, ["--" + key.replace("_", "-"), text], tmp_path, capsys)
+        from_file = self._run(command, ["--config", str(cfg)], tmp_path, capsys)
+        return from_flag, from_file
+
+    @pytest.mark.parametrize("command,key", TAKEN)
+    def test_flag_and_config_key_give_same_header(self, command, key, tmp_path, capsys):
+        text = _sample_text(COMMANDS[command].row(key)[0])
+        from_flag, from_file = self._both_sources(command, key, text, tmp_path, capsys)
+        assert from_flag[1] == from_file[1]
+        value = COMMANDS[command].row(key)[0](text)
+        assert f"# {key} = {value}" in from_flag[1]
+        assert from_flag[0] == from_file[0]
+
+    @pytest.mark.parametrize("command,key", [(c, k) for c, k in TAKEN
+                                             if COMMANDS[c].row(k)[0] is not str])
+    def test_flag_and_config_key_give_same_error(self, command, key, tmp_path, capsys):
+        from_flag, from_file = self._both_sources(command, key, "?", tmp_path, capsys)
+        assert from_flag[0] == from_file[0] == 2
+        assert from_flag[2] == from_file[2]
+        assert key in from_flag[2] and "Traceback" not in from_flag[2]
+
+    @pytest.mark.parametrize("command,key", NOT_TAKEN)
+    def test_setting_not_taken_is_unknown(self, command, key, tmp_path, capsys):
+        text = _sample_text(SETTINGS[key][0])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+        code, header, err = self._run(command, ["--config", str(cfg)], tmp_path, capsys)
+        assert code == 2 and "unknown config file keys" in err and key in err
+        assert not header
+        code, _, err = self._run(command, ["--" + key.replace("_", "-"), text], tmp_path, capsys)
+        assert code == 2 and "unrecognized arguments" in err
 
 
 class TestConfigFileAndSeeds:
