@@ -12,13 +12,14 @@ numerical failure (non-finite loss).
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import center_crop, generate_toy_dataset, read_manifest, split_records
+from .data import center_crop, generate_toy_dataset, read_manifest, read_utf8, split_records
 from .errors import CheckpointError, ContractError, NumericalDivergenceError
 from .head import weight_map
 from .pipeline import (
@@ -48,10 +49,10 @@ def _env_seed() -> int:
 def parse_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        text = read_utf8(path)
     except OSError as e:
         raise ContractError(f"cannot read config file {path}: {e}") from None
+    lines = io.StringIO(text, newline=None).readlines()  # universal newlines, as open() gives
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -351,8 +351,9 @@ class TrainSettings:
     def __post_init__(self):
         if self.batch < 1:
             raise ContractError(f"batch must be a positive integer, got {self.batch}")
-        for name in ("steps", "epochs"):
+        for name in ("steps", "epochs", "lr", "weight_decay"):
             value = getattr(self, name)
+            # NaN passes: a non-finite update is a divergence, not an input error
             if value is not None and value < 0:
                 raise ContractError(f"{name} must be non-negative, got {value}")
         if self.val_crops < 1:

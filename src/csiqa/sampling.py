@@ -316,6 +316,8 @@ def pretrain_csm(
         raise ContractError(f"pretraining width must be a positive integer, got {width}")
     if epochs < 0:
         raise ContractError(f"pretraining epochs must be non-negative, got {epochs}")
+    if lr < 0:  # NaN passes, as in TrainSettings
+        raise ContractError(f"pretraining lr must be non-negative, got {lr}")
     # separate streams so paired runs share the reconstructor init exactly,
     # whether or not a frozen matrix is supplied
     matrix_rng = np.random.default_rng(np.random.SeedSequence([seed, 11, 0]))

@@ -1,5 +1,31 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import csiqa
+
+# Python expression: the scipy modules loaded in the interpreter evaluating it.
+SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def run_fresh(code: str, *args: str):
+    """Run ``code`` in a new interpreter that imports this csiqa and this
+    tests directory, and return the JSON value of its last output line.
+
+    For checks on what a process loads: pytest's own process has imported
+    scipy through test_metrics.
+    """
+    paths = [os.path.dirname(os.path.dirname(csiqa.__file__)), os.path.dirname(__file__)]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, paths + [os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def central_diff_grads(loss_fn, tensors, step=1e-5):

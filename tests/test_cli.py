@@ -246,7 +246,8 @@ class TestScore:
 
 
 class TestCountSettings:
-    """Out-of-range counts are input errors: exit 2, no output, no traceback."""
+    """Out-of-range counts and rates are input errors: exit 2, no output, no
+    traceback."""
 
     @pytest.mark.parametrize("command,flags,name", [
         ("train", ["--batch", "0"], "batch"),
@@ -266,6 +267,9 @@ class TestCountSettings:
         ("make-toy", ["--count", "-2"], "count"),
         ("make-toy", ["--size", "0"], "size"),
         ("make-toy", ["--kind", "foo"], "kind"),
+        ("train", ["--lr", "-1"], "lr"),
+        ("train", ["--weight-decay", "-5"], "weight_decay"),
+        ("pretrain", ["--lr", "-1"], "lr"),
     ])
     def test_exits_2_without_writing(self, command, flags, name, toyset, trained_ckpt,
                                      tmp_path, capsys):
@@ -293,6 +297,32 @@ class TestCountSettings:
         assert main(["make-toy", "--out", str(out), "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "kind" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestNonUtf8Input:
+    """A manifest or config file that is not UTF-8 is an input error naming
+    the file and the byte offset."""
+
+    def test_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "bad.csv"
+        manifest.write_bytes(b"path,mos\n\xff.pgm,0.5\n")
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--manifest", str(manifest), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.csv" in err and "offset 9" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "make-toy"])
+    def test_config_file(self, command, toyset, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 1\n# \xff\n")
+        out = tmp_path / "out"
+        inputs = {"train": ["--manifest", toyset["manifest"], "--out", str(out)],
+                  "make-toy": ["--out", str(out)]}[command]
+        assert main([command, *inputs, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.cfg" in err and "offset 11" in err and "Traceback" not in err
         assert not out.exists()
 
 

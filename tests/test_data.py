@@ -5,6 +5,8 @@ from csiqa import data
 from csiqa.errors import ContractError
 from csiqa.pnm import read_image
 
+from conftest import SCIPY_MODULES, run_fresh
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
@@ -33,6 +35,12 @@ class TestManifest:
         msg = str(e.value)
         assert "line 2" not in msg
         assert "line 3" in msg and "line 4" in msg and "line 5" in msg
+
+    def test_non_utf8_bytes_named_with_offset(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(b"path,mos\n\xff.pgm,0.5\n")
+        with pytest.raises(ContractError, match=r"manifest\.csv.*0xff at offset 9"):
+            data.read_manifest(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
@@ -97,15 +105,28 @@ class TestToyDataset:
             assert img.shape == (24, 24)
             assert 0.0 <= img.min() and img.max() <= 1.0
 
-    def test_noise_level_tracks_mos(self, tmp_path):
-        """Lower opinion score must mean visibly more high-frequency energy."""
-        manifest = data.generate_toy_dataset(tmp_path / "toy", n_images=8, size=32, seed=9)
+    @staticmethod
+    def _roughness_by_mos(manifest) -> list[float]:
+        """Mean absolute neighbour difference of each image, lowest MOS first."""
         recs = sorted(data.read_manifest(manifest), key=lambda r: r.mos)
         def roughness(img):
             return float(np.mean(np.abs(np.diff(img, axis=0))) + np.mean(np.abs(np.diff(img, axis=1))))
-        rough = [roughness(read_image(r.path)) for r in recs]
+        return [roughness(read_image(r.path)) for r in recs]
+
+    def test_noise_level_tracks_mos(self, tmp_path):
+        """Lower opinion score must mean visibly more high-frequency energy."""
+        manifest = data.generate_toy_dataset(tmp_path / "toy", n_images=8, size=32, seed=9)
+        rough = self._roughness_by_mos(manifest)
         # worst image (lowest mos) must be much rougher than the cleanest
         assert rough[0] > 2.0 * rough[-1]
+
+    def test_blur_level_tracks_mos(self, tmp_path):
+        """Lower opinion score must mean visibly less high-frequency energy."""
+        manifest = data.generate_toy_dataset(tmp_path / "toy", n_images=8, size=32, seed=9,
+                                             kind="blur")
+        rough = self._roughness_by_mos(manifest)
+        # worst image (lowest mos) must be much smoother than the sharpest
+        assert rough[0] < 0.5 * rough[-1]
 
     def test_mos_mapping_anchors(self):
         assert data.mos_from_snr(10.0) == pytest.approx(1.0, abs=1e-12)
@@ -117,3 +138,17 @@ class TestToyDataset:
                                              seed=1, kind="blur")
         recs = data.read_manifest(manifest)
         assert len(recs) == 4
+
+
+def test_scipy_loaded_only_for_blur():
+    """Importing the package and its CLI loads no scipy; blur loads ndimage."""
+    loaded = run_fresh(f"""
+import json, sys
+import numpy as np
+import csiqa, csiqa.cli
+before = {SCIPY_MODULES}
+csiqa.data.distort(np.full((8, 8), 0.5), 1.0, np.random.default_rng(0), kind="blur")
+print(json.dumps([before, {SCIPY_MODULES}]))
+""")
+    assert loaded[0] == []
+    assert "scipy.ndimage" in loaded[1]

@@ -15,7 +15,7 @@ from csiqa.errors import CheckpointFormatError, ContractError, NumericalDivergen
 from csiqa.head import score as head_score
 from csiqa.sampling import split_blocks
 
-from conftest import central_diff_grads, max_rel_err
+from conftest import SCIPY_MODULES, central_diff_grads, max_rel_err, run_fresh
 
 try:
     import resource
@@ -263,6 +263,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("field,value", [
         ("batch", 0), ("batch", -3), ("steps", -1), ("epochs", -1), ("val_crops", 0),
+        ("lr", -1.0), ("weight_decay", -1.0),
     ])
     def test_out_of_range_counts_rejected(self, field, value):
         with pytest.raises(ContractError, match=field):
@@ -563,6 +564,20 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def desk_step_faults(workdir) -> float:
+    """Minor faults per warm desk training step (batch 8)."""
+    records = read_manifest(generate_toy_dataset(workdir, n_images=16, size=40, seed=5))
+    cfg = pl.ModelConfig(seed=1)
+
+    def run(steps):
+        pl.train(records, cfg, pl.TrainSettings(batch=8, lr=1e-4, steps=steps, val_every=0))
+
+    run(2)
+    before = _minor_faults()
+    run(6)
+    return (_minor_faults() - before) / 6
+
+
 @pytest.mark.skipif(
     resource is None or not sys.platform.startswith("linux")
     or platform.libc_ver()[0] != "glibc",
@@ -577,16 +592,18 @@ class TestHeapStaysResident:
     BOUND = 200
 
     def test_desk_training_step(self, tmp_path):
-        records = read_manifest(generate_toy_dataset(tmp_path, n_images=16, size=40, seed=5))
-        cfg = pl.ModelConfig(seed=1)
+        assert desk_step_faults(tmp_path) < self.BOUND
 
-        def run(steps):
-            pl.train(records, cfg, pl.TrainSettings(batch=8, lr=1e-4, steps=steps, val_every=0))
-
-        run(2)
-        before = _minor_faults()
-        run(6)
-        assert (_minor_faults() - before) / 6 < self.BOUND
+    def test_desk_training_step_without_scipy(self, tmp_path):
+        """The pad is set on a heap about 30 MB smaller when scipy is not
+        loaded; the bound must hold there too."""
+        faults, loaded = run_fresh(f"""
+import json, sys
+from test_pipeline import desk_step_faults
+print(json.dumps([desk_step_faults(sys.argv[1]), {SCIPY_MODULES}]))
+""", str(tmp_path))
+        assert loaded == []
+        assert faults < self.BOUND
 
     def test_five_crop_scoring(self):
         state = pl.init_model(pl.ModelConfig(seed=1))

@@ -350,6 +350,10 @@ class TestBatchedPretrain:
         with pytest.raises(ContractError, match="epochs"):
             sp.pretrain_csm([rng.random((8, 8))], 0.25, epochs=-1, lr=1e-3, width=4)
 
+    def test_negative_lr_rejected(self, rng):
+        with pytest.raises(ContractError, match="lr"):
+            sp.pretrain_csm([rng.random((8, 8))], 0.25, epochs=1, lr=-1.0, width=4)
+
     @pytest.mark.parametrize("flag", [False, True])
     @pytest.mark.parametrize("train_matrix", [False, True])
     def test_matrix_flag_left_as_passed(self, flag, train_matrix, rng):
