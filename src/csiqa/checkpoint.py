@@ -17,6 +17,7 @@ save -> load -> save byte-identical.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -70,7 +71,12 @@ def read_checkpoint(path, expect_version: int = VERSION) -> list[tuple[str, byte
         offset += 2
         if offset + name_len + 8 > end:
             raise CheckpointFormatError(f"{path}: truncated blob name/size")
-        name = data[offset : offset + name_len].decode("utf-8")
+        try:
+            name = data[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointFormatError(
+                f"{path}: blob name is not UTF-8: byte 0x{data[offset + e.start]:02x} "
+                f"at offset {offset + e.start}") from None
         offset += name_len
         (size,) = struct.unpack_from("<Q", data, offset)
         offset += 8
@@ -97,16 +103,18 @@ def array_from_bytes(payload: bytes) -> np.ndarray:
     if len(payload) < 4:
         raise CheckpointFormatError("array blob too short")
     (ndim,) = struct.unpack_from("<I", payload, 0)
-    offset = 4
-    shape = []
-    for _ in range(ndim):
-        (s,) = struct.unpack_from("<Q", payload, offset)
-        shape.append(int(s))
-        offset += 8
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    expected = offset + 8 * count
-    if len(payload) != expected:
+    offset = 4 + 8 * ndim
+    if len(payload) < offset:
         raise CheckpointFormatError(
-            f"array blob length {len(payload)} != expected {expected}")
+            f"array blob header declares {ndim} dimensions but the blob is "
+            f"{len(payload)} bytes")
+    shape = struct.unpack_from(f"<{ndim}Q", payload, 4)
+    count, extra = divmod(len(payload) - offset, 8)
+    if extra or math.prod(shape) != count:
+        raise CheckpointFormatError(
+            f"array blob length {len(payload)} does not fit its shape of {ndim} dimensions")
     flat = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-    return flat.reshape(tuple(shape)).copy()
+    try:
+        return flat.reshape(shape).copy()
+    except ValueError as e:  # too many axes, or extents past numpy's size limit
+        raise CheckpointFormatError(f"array blob shape is not a numpy shape: {e}") from None

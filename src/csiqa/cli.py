@@ -6,13 +6,14 @@ Settings resolve in order: command-line flag, then config-file entry
 (``key=value`` lines, ``#`` comments), then the subcommand's default; every
 effective setting is echoed in a run header so logged runs are
 self-describing. Exit codes: 0 success, 2 usage or input error, 3
-numerical failure (non-finite loss).
+numerical failure (a non-finite loss, score or weight map).
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -252,6 +253,8 @@ def cmd_score(s: dict) -> int:
     loaded = load_model(s["ckpt"])
     rng = np.random.default_rng(np.random.SeedSequence([s["seed"], 3, 0]))
     value = predict_image(img, loaded.state, ratio=s["ratio"], n_crops=s["crops"], rng=rng)
+    if not math.isfinite(value):
+        raise NumericalDivergenceError(f"{s['image']} scored non-finite ({value})")
     if s["weight_map"]:
         _write_weight_map(img, loaded.state, s["ratio"], s["weight_map"])
         print(f"wrote weight map {s['weight_map']}")
@@ -271,8 +274,9 @@ def _write_weight_map(img, state, ratio, out_path) -> None:
     """Render per-token weights for the deterministic center crop."""
     crop = center_crop(img, state.config.crop_size)
     _, diag = forward(crop, state, ratio)
-    grid_img = weight_map(diag["token_weights"], diag["grid"])
-    write_pgm(out_path, grid_img)
+    if not np.isfinite(diag["token_weights"]).all():
+        raise NumericalDivergenceError("the token weights are non-finite")
+    write_pgm(out_path, weight_map(diag["token_weights"], diag["grid"]))
 
 
 def cmd_make_toy(s: dict) -> int:

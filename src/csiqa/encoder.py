@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,38 +29,12 @@ from .gridops import conv3x3, window_permutation
 from .sampling import BlockGrid
 
 
-@dataclass
-class EncoderConfig:
-    """Transformer stack geometry. ff_hidden defaults to 4 * embed_dim."""
-
-    depth: int
-    heads: int
-    embed_dim: int
-    ff_hidden: int | None = None
-
-    def __post_init__(self):
-        if self.depth < 0:
-            raise ContractError(f"depth must be >= 0, got {self.depth}")
-        if self.embed_dim % self.heads:
-            raise ContractError(
-                f"embed_dim {self.embed_dim} not divisible by {self.heads} heads")
-        if self.ff_hidden is None:
-            self.ff_hidden = 4 * self.embed_dim
-
-
-@dataclass
-class RefineConfig:
-    """Windowed refinement: window size, conv residual scale, layer count."""
-
-    window: int
-    conv_scale: float = 0.1
-    layers: int = 2
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ContractError(f"window must be >= 1, got {self.window}")
-        if not math.isfinite(self.conv_scale):
-            raise ContractError("conv_scale must be finite")
+# Fixed geometry: the feed-forward width per token width, the window
+# layers in a refinement module (unshifted, then shifted) and the scale of
+# its conv residual (the starting value when the scale is learnable).
+FF_MULT = 4
+REFINE_LAYERS = 2
+CONV_SCALE = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -81,43 +54,48 @@ def _ones(n):
 
 
 def init_block_params(
-    embed_dim: int, ff_hidden: int, rng: np.random.Generator, std: float = 0.02
+    embed_dim: int, rng: np.random.Generator, std: float = 0.02
 ) -> dict[str, nm.Tensor]:
-    """Parameters for one post-norm block: attention, two norms, feed-forward."""
-    d = embed_dim
-    params = {}
-    for name in ("wq", "wk", "wv", "wo"):
-        params[f"attn.{name}"] = _proj(rng, d, d, std)
-        params[f"attn.{name[1]}b"] = _zeros(d)
-    params["ln1.g"], params["ln1.b"] = _ones(d), _zeros(d)
-    params["ff.w1"], params["ff.b1"] = _proj(rng, d, ff_hidden, std), _zeros(ff_hidden)
-    params["ff.w2"], params["ff.b2"] = _proj(rng, ff_hidden, d, std), _zeros(d)
-    params["ln2.g"], params["ln2.b"] = _ones(d), _zeros(d)
-    return params
+    """Parameters for one post-norm block: attention, two norms, feed-forward.
+
+    The k projection has no bias: it would add ``q . kb`` to every score of
+    a query, a constant shift of its softmax row, so nothing could learn it.
+    """
+    d, ff = embed_dim, FF_MULT * embed_dim
+    return {  # the literal's order is the RNG draw order
+        "attn.wq": _proj(rng, d, d, std), "attn.qb": _zeros(d),
+        "attn.wk": _proj(rng, d, d, std),
+        "attn.wv": _proj(rng, d, d, std), "attn.vb": _zeros(d),
+        "attn.wo": _proj(rng, d, d, std), "attn.ob": _zeros(d),
+        "ln1.g": _ones(d), "ln1.b": _zeros(d),
+        "ff.w1": _proj(rng, d, ff, std), "ff.b1": _zeros(ff),
+        "ff.w2": _proj(rng, ff, d, std), "ff.b2": _zeros(d),
+        "ln2.g": _ones(d), "ln2.b": _zeros(d),
+    }
 
 
 def init_encoder_params(
-    cfg: EncoderConfig, rng: np.random.Generator, std: float = 0.02
+    depth: int, embed_dim: int, rng: np.random.Generator, std: float = 0.02
 ) -> dict[str, nm.Tensor]:
     params = {}
-    for i in range(cfg.depth):
-        for k, v in init_block_params(cfg.embed_dim, cfg.ff_hidden, rng, std).items():
+    for i in range(depth):
+        for k, v in init_block_params(embed_dim, rng, std).items():
             params[f"block{i}.{k}"] = v
     return params
 
 
 def init_refiner_params(
-    embed_dim: int, ff_hidden: int, cfg: RefineConfig, rng: np.random.Generator,
-    learnable_scale: bool = False, std: float = 0.02,
+    embed_dim: int, rng: np.random.Generator, learnable_scale: bool = False,
+    std: float = 0.02,
 ) -> dict[str, nm.Tensor]:
     params = {}
-    for i in range(cfg.layers):
-        for k, v in init_block_params(embed_dim, ff_hidden, rng, std).items():
+    for i in range(REFINE_LAYERS):
+        for k, v in init_block_params(embed_dim, rng, std).items():
             params[f"stl{i}.{k}"] = v
     params["conv.w"] = _proj(rng, 9 * embed_dim, embed_dim, std)
     params["conv.b"] = _zeros(embed_dim)
     if learnable_scale:
-        params["conv.alpha"] = nm.Tensor(np.asarray(cfg.conv_scale), requires_grad=True)
+        params["conv.alpha"] = nm.Tensor(np.asarray(CONV_SCALE), requires_grad=True)
     return params
 
 
@@ -152,7 +130,7 @@ class ParamGroup:
 
 def _project_qkv(x: nm.Tensor, p: Mapping[str, nm.Tensor]):
     q = nm.affine(x, p["attn.wq"], p["attn.qb"])
-    k = nm.affine(x, p["attn.wk"], p["attn.kb"])
+    k = nm.matmul(x, p["attn.wk"])
     v = nm.affine(x, p["attn.wv"], p["attn.vb"])
     return q, k, v
 
@@ -235,10 +213,10 @@ def window_block(
     return _post_norm_pair(x, window_msa(x, grid, p, heads, window, shift), p)
 
 
-def encode(x: nm.Tensor, params: ParamGroup, cfg: EncoderConfig) -> nm.Tensor:
-    """Apply the configured number of blocks in sequence. depth=0 is identity."""
-    for i in range(cfg.depth):
-        x = encoder_block(x, params.group(f"block{i}"), cfg.heads)
+def encode(x: nm.Tensor, params: ParamGroup, depth: int, heads: int) -> nm.Tensor:
+    """Apply ``depth`` blocks in sequence. depth=0 is identity."""
+    for i in range(depth):
+        x = encoder_block(x, params.group(f"block{i}"), heads)
     return x
 
 
@@ -247,22 +225,24 @@ def window_refine(
     grid: BlockGrid,
     params: ParamGroup,
     heads: int,
-    cfg: RefineConfig,
+    window: int,
+    conv_scale: float,
 ) -> nm.Tensor:
     """Window-attention layers then a scaled 3x3 conv residual over the grid.
 
     ``x`` is (L, d) or (N, L, d) and the result has its shape. Layer i uses
     a cyclic shift of floor(w/2) on odd i, none on even i. The output is
-    conv_scale * Conv3x3(tokens) + tokens.
+    conv_scale * Conv3x3(tokens) + tokens, with the learnable ``conv.alpha``
+    in place of conv_scale when the parameters hold one.
     """
     shape = x.shape
     x = nm.reshape(x, (x.size // shape[-1], shape[-1]))
-    for i in range(cfg.layers):
-        shift = (cfg.window // 2) if i % 2 else 0
-        x = window_block(x, grid, params.group(f"stl{i}"), heads, cfg.window, shift)
+    for i in range(REFINE_LAYERS):
+        shift = (window // 2) if i % 2 else 0
+        x = window_block(x, grid, params.group(f"stl{i}"), heads, window, shift)
     conv_out = conv3x3(x, grid.blocks_h, grid.blocks_w, params["conv.w"], params["conv.b"])
     if "conv.alpha" in params:
         scaled = nm.mul(conv_out, params["conv.alpha"])
     else:
-        scaled = nm.scale(conv_out, cfg.conv_scale)
+        scaled = nm.scale(conv_out, conv_scale)
     return nm.reshape(nm.add(scaled, x), shape)

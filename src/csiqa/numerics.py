@@ -253,10 +253,13 @@ def scale(x: Tensor, c: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` over the last axis of a; leading axes of a (a batch of
+    samples) are treated as more rows, as in ``affine``."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs two rank-2 tensors, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeError(
+            f"matmul needs a rank >= 2 and a rank-2 tensor, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     out = a.data @ b.data
 
@@ -264,7 +267,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g @ b.data.T)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, g.shape[-1]))
 
     return _make(out, (a, b), backprop)
 

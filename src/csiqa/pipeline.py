@@ -43,9 +43,8 @@ from .embedding import (
     init_positions,
 )
 from .encoder import (
-    EncoderConfig,
+    CONV_SCALE,
     ParamGroup,
-    RefineConfig,
     encode,
     init_encoder_params,
     init_refiner_params,
@@ -77,9 +76,11 @@ class ModelConfig:
     """Complete model geometry plus the training-time ratio policy.
 
     ``ratio_mode`` is "fixed" (one ratio for training and evaluation) or
-    "arbitrary" (a ratio drawn per batch from ``ratio_set``). The defaults
-    are the desk-scale configuration; ``paper_scale`` returns the full-size
-    geometry, which is expressible but not a test target.
+    "arbitrary" (a ratio drawn per batch from ``DEFAULT_RATIO_SET``). The
+    defaults are the desk-scale configuration; ``paper_scale`` returns the
+    full-size geometry, which is expressible but not a test target. The
+    feed-forward width (4 * embed_dim), the single refinement module and
+    its conv scale are fixed in ``encoder``.
     """
 
     variant: str = "cl-iqa"
@@ -88,14 +89,10 @@ class ModelConfig:
     depth: int = 2
     heads: int = 4
     window: int = 2
-    conv_scale: float = 0.1
     learnable_scale: bool = False
-    refine_modules: int = 1
     ratio_mode: str = "fixed"
     ratio: float = 0.1
-    ratio_set: tuple[float, ...] = DEFAULT_RATIO_SET
     crop_size: int = 32
-    ff_hidden: int | None = None
     init_std: float = 0.02
     embed_gain: float = 1.0
     seed: int = 0
@@ -109,6 +106,8 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ContractError(
                     f"{name} must be a positive integer, got {getattr(self, name)}")
+        if self.depth < 0:
+            raise ContractError(f"depth must be >= 0, got {self.depth}")
         if self.embed_dim % self.heads:
             raise ContractError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
@@ -120,9 +119,6 @@ class ModelConfig:
         if self.grid_side % self.window:
             raise ContractError(
                 f"window {self.window} does not divide the {self.grid_side}-wide token grid")
-        if self.ff_hidden is None:
-            self.ff_hidden = 4 * self.embed_dim
-        self.ratio_set = tuple(float(r) for r in self.ratio_set)
         for r in self.active_ratios():
             if not 0.0 < r <= 1.0:
                 raise ContractError(f"sampling ratio {r} outside (0, 1]")
@@ -142,18 +138,10 @@ class ModelConfig:
         return self.grid_side * self.grid_side
 
     def active_ratios(self) -> tuple[float, ...]:
-        return (self.ratio,) if self.ratio_mode == "fixed" else self.ratio_set
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(self.depth, self.heads, self.embed_dim, self.ff_hidden)
-
-    def refine_config(self) -> RefineConfig:
-        return RefineConfig(self.window, self.conv_scale)
+        return (self.ratio,) if self.ratio_mode == "fixed" else DEFAULT_RATIO_SET
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["ratio_set"] = list(self.ratio_set)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -162,8 +150,6 @@ class ModelConfig:
         unknown, missing = sorted(set(d) - fields), sorted(fields - set(d))
         if unknown or missing:
             raise ContractError(f"model config has unknown keys {unknown}, missing keys {missing}")
-        d = dict(d)
-        d["ratio_set"] = tuple(d["ratio_set"])
         return cls(**d)
 
     @classmethod
@@ -184,7 +170,8 @@ class ModelState:
 
     def group(self, name: str) -> ParamGroup:
         """The parameters under ``name.`` (``enc``, ``refine0``, ``head``),
-        read through to ``params``."""
+        read through to ``params``. The one refinement module keeps the
+        ``refine0`` prefix."""
         return ParamGroup(self.params, name + ".")
 
     def parameters(self) -> list[nm.Tensor]:
@@ -204,14 +191,12 @@ def init_model(cfg: ModelConfig) -> ModelState:
         params["aem.embed"] = init_embedding(
             cfg.embed_dim, cfg.block_size, rng, gain=cfg.embed_gain).matrix
     params["aem.pos"] = init_positions(cfg.tokens_per_crop, cfg.embed_dim, rng).table
-    for k, v in init_encoder_params(cfg.encoder_config(), rng, std=cfg.init_std).items():
+    for k, v in init_encoder_params(cfg.depth, cfg.embed_dim, rng, std=cfg.init_std).items():
         params[f"enc.{k}"] = v
-    for j in range(cfg.refine_modules):
-        refb = init_refiner_params(
-            cfg.embed_dim, cfg.ff_hidden, cfg.refine_config(), rng,
-            learnable_scale=cfg.learnable_scale, std=cfg.init_std)
-        for k, v in refb.items():
-            params[f"refine{j}.{k}"] = v
+    refiner = init_refiner_params(cfg.embed_dim, rng, learnable_scale=cfg.learnable_scale,
+                                  std=cfg.init_std)
+    for k, v in refiner.items():
+        params[f"refine0.{k}"] = v
     for k, v in init_head_params(cfg.embed_dim, rng, std=cfg.init_std).items():
         params[f"head.{k}"] = v
     return ModelState(cfg, params)
@@ -239,10 +224,8 @@ def forward(imgs: np.ndarray, state: ModelState, ratio: float | None = None):
         tokens = bypass_embed(meas, cfg.embed_dim)
     tokens = nm.reshape(tokens, (meas.batch, meas.grid.num_blocks, cfg.embed_dim))
     x = add_position(tokens, PositionalTable(state.params["aem.pos"]))
-    x = encode(x, state.group("enc"), cfg.encoder_config())
-    for j in range(cfg.refine_modules):
-        x = window_refine(x, meas.grid, state.group(f"refine{j}"),
-                          cfg.heads, cfg.refine_config())
+    x = encode(x, state.group("enc"), cfg.depth, cfg.heads)
+    x = window_refine(x, meas.grid, state.group("refine0"), cfg.heads, cfg.window, CONV_SCALE)
     pooled, token_scores, token_weights = head_score(x, state.group("head"))
     diag = {
         "ratio": float(ratio),
@@ -446,7 +429,7 @@ def train(
         batch = rng.choice(len(train_recs), size=min(settings.batch, len(train_recs)),
                            replace=False)
         if cfg.ratio_mode == "arbitrary":
-            ratio = cfg.ratio_set[int(rng.integers(len(cfg.ratio_set)))]
+            ratio = DEFAULT_RATIO_SET[int(rng.integers(len(DEFAULT_RATIO_SET)))]
         else:
             ratio = cfg.ratio
         crops = np.stack([random_crop(train_imgs[i], cfg.crop_size, rng) for i in batch])
@@ -465,7 +448,8 @@ def train(
         history["loss"].append(value)
 
         if val_every and val_recs and (step + 1) % val_every == 0:
-            val_scores = predict_records(val_recs, state, ratio=None if cfg.ratio_mode == "fixed" else cfg.ratio_set[0],
+            val_ratio = None if cfg.ratio_mode == "fixed" else DEFAULT_RATIO_SET[0]
+            val_scores = predict_records(val_recs, state, ratio=val_ratio,
                                          n_crops=settings.val_crops, images=val_imgs)
             val_mos = np.array([r.mos for r in val_recs])
             mse = float(np.mean((val_scores - val_mos) ** 2))

@@ -59,7 +59,10 @@ def read_image(path) -> np.ndarray:
     raw = data[i : i + need]
     if len(raw) < need:
         raise PnmError(f"pixel data truncated: need {need} bytes, have {len(raw)}")
-    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / maxval
+    samples = np.frombuffer(raw, dtype=np.uint8)
+    if samples.max() > maxval:
+        raise PnmError(f"pixel value {samples.max()} exceeds maxval {maxval}")
+    pixels = samples.astype(np.float64) / maxval
     if channels == 1:
         return pixels.reshape(height, width)
     return pixels.reshape(height, width, 3) @ _LUMA

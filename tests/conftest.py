@@ -1,12 +1,16 @@
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
 
 import csiqa
+from csiqa.checkpoint import array_to_bytes, read_checkpoint, write_checkpoint
+from csiqa.pipeline import DEFAULT_RATIO_SET, save_model
 
 # Python expression: the scipy modules loaded in the interpreter evaluating it.
 SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
@@ -26,6 +30,39 @@ def run_fresh(code: str, *args: str):
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def frame_checkpoint(blobs, version: int = 1) -> bytes:
+    """Checkpoint container bytes for (name bytes, payload bytes) pairs with
+    a correct CRC, so a test can store names ``write_checkpoint`` cannot."""
+    out = b"CSIQ" + struct.pack("<II", version, len(blobs))
+    for name, payload in blobs:
+        out += struct.pack("<H", len(name)) + name + struct.pack("<Q", len(payload)) + payload
+    return out + struct.pack("<I", zlib.crc32(out))
+
+
+# The model config keys that became fixed geometry, as checkpoints written
+# before then stored them.
+OLD_CONFIG_KEYS = ("conv_scale", "ff_hidden", "ratio_set", "refine_modules")
+
+
+def write_old_format_checkpoint(path, state) -> None:
+    """Save ``state`` as a checkpoint written before the key bias and four
+    config fields were dropped: the config also holds those four keys, and
+    every attention block has a zero ``attn.kb`` blob after its ``attn.wk``."""
+    save_model(path, state)
+    config = dict(state.config.to_dict(), conv_scale=0.1,
+                  ff_hidden=4 * state.config.embed_dim, ratio_set=list(DEFAULT_RATIO_SET),
+                  refine_modules=1)
+    meta = json.dumps({"kind": "model", "config": config}, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+    blobs = []
+    for name, payload in read_checkpoint(path):
+        blobs.append((name, meta if name == "meta/config" else payload))
+        if name.endswith(".attn.wk"):
+            key_bias = np.zeros(state.config.embed_dim)
+            blobs.append((name[:-len("wk")] + "kb", array_to_bytes(key_bias)))
+    write_checkpoint(path, blobs)
 
 
 def central_diff_grads(loss_fn, tensors, step=1e-5):

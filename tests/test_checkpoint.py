@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -9,6 +10,8 @@ from csiqa.errors import (
     CheckpointFormatError,
     CheckpointVersionError,
 )
+
+from conftest import frame_checkpoint
 
 
 @pytest.fixture
@@ -72,6 +75,22 @@ class TestContainer:
         with pytest.raises(CheckpointFormatError):
             ck.read_checkpoint(path)
 
+    def test_non_utf8_blob_name_is_format_error_naming_offset(self, tmp_path, blobs):
+        framed = [(name.encode("utf-8"), payload) for name, payload in blobs]
+        framed[1] = (b"param/\xffw", framed[1][1])
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(frame_checkpoint(framed))
+        name_start = 12 + 2 + len(blobs[0][0]) + 8 + len(blobs[0][1]) + 2
+        with pytest.raises(CheckpointFormatError) as e:
+            ck.read_checkpoint(path)
+        assert f"byte 0xff at offset {name_start + 6}" in str(e.value)
+
+    def test_frame_matches_writer(self, tmp_path, blobs):
+        path = tmp_path / "c.ckpt"
+        ck.write_checkpoint(path, blobs)
+        framed = [(name.encode("utf-8"), payload) for name, payload in blobs]
+        assert path.read_bytes() == frame_checkpoint(framed)
+
     def test_little_endian_layout(self, tmp_path):
         path = tmp_path / "c.ckpt"
         ck.write_checkpoint(path, [("x", b"hi")])
@@ -84,7 +103,7 @@ class TestContainer:
 
 class TestArrayBlob:
     def test_round_trip_bit_exact(self, rng):
-        for shape in [(), (4,), (2, 3), (2, 3, 4)]:
+        for shape in [(), (4,), (2, 3), (2, 3, 4), (0,), (2, 0, 3)]:
             arr = rng.normal(size=shape)
             back = ck.array_from_bytes(ck.array_to_bytes(arr))
             assert back.shape == arr.shape
@@ -94,3 +113,19 @@ class TestArrayBlob:
         payload = ck.array_to_bytes(rng.normal(size=4))
         with pytest.raises(CheckpointFormatError):
             ck.array_from_bytes(payload + b"\x00" * 8)
+
+    @pytest.mark.parametrize("payload", [
+        struct.pack("<I", 3) + b"\x00" * 4,  # three dimensions, half of one extent
+        struct.pack("<I", 0xFFFFFFFF) + b"\x00" * 8,
+        struct.pack("<I", 1),
+    ])
+    def test_header_shorter_than_its_dimensions_rejected(self, payload):
+        with pytest.raises(CheckpointFormatError, match="header declares"):
+            ck.array_from_bytes(payload)
+
+    @pytest.mark.parametrize("shape", [(1,) * 70, (2**64 - 1, 0)])
+    def test_shape_numpy_cannot_hold_rejected(self, shape):
+        count = math.prod(shape)
+        payload = struct.pack(f"<I{len(shape)}Q", len(shape), *shape) + b"\x00" * 8 * count
+        with pytest.raises(CheckpointFormatError, match="not a numpy shape"):
+            ck.array_from_bytes(payload)

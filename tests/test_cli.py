@@ -1,4 +1,7 @@
 import os
+import struct
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,9 +9,11 @@ import pytest
 from csiqa.checkpoint import read_checkpoint, write_checkpoint
 from csiqa.cli import COMMANDS, SETTINGS, main
 from csiqa.data import generate_toy_dataset
-from csiqa.pipeline import load_model, load_pretrained_csm, save_model
+from csiqa.pipeline import ModelConfig, load_model, load_pretrained_csm, save_model
 from csiqa.pnm import read_image
 from csiqa.sampling import random_sampling_matrix
+
+from conftest import OLD_CONFIG_KEYS, frame_checkpoint, write_old_format_checkpoint
 
 TINY_TRAIN = ["--block-size", "4", "--embed-dim", "16", "--depth", "1",
               "--heads", "4", "--window", "2", "--crop-size", "8",
@@ -21,6 +26,14 @@ def toyset(tmp_path_factory):
     manifest = generate_toy_dataset(root / "data", n_images=12, size=12, seed=5)
     return {"root": root, "manifest": str(manifest),
             "corpus": str(root / "data"), "image": str(root / "data" / "toy_000.pgm")}
+
+
+def with_nan_parameter(ckpt, name, out) -> str:
+    """A copy of checkpoint ``ckpt`` at ``out`` with parameter ``name`` NaN."""
+    loaded = load_model(ckpt)
+    loaded.state.params[name].data[...] = np.nan
+    save_model(out, loaded.state)
+    return str(out)
 
 
 @pytest.fixture(scope="module")
@@ -201,10 +214,7 @@ class TestEval:
 
 
     def test_nan_parameter_exits_3(self, toyset, trained_ckpt, tmp_path, capsys):
-        loaded = load_model(trained_ckpt)
-        loaded.state.params["head.score.b2"].data[...] = np.nan
-        bad = str(tmp_path / "nan.ckpt")
-        save_model(bad, loaded.state)
+        bad = with_nan_parameter(trained_ckpt, "head.score.b2", tmp_path / "nan.ckpt")
         code = main(["eval", "--manifest", toyset["manifest"], "--ckpt", bad, "--crops", "1"])
         assert code == 3
         captured = capsys.readouterr()
@@ -244,6 +254,70 @@ class TestScore:
         assert main(["score", "--image", str(tmp_path / "missing.pgm"),
                      "--ckpt", trained_ckpt]) == 2
 
+    def test_nan_score_exits_3_without_writing(self, toyset, trained_ckpt, tmp_path, capsys):
+        bad = with_nan_parameter(trained_ckpt, "head.score.b2", tmp_path / "nan.ckpt")
+        wm = tmp_path / "wm.pgm"
+        code = main(["score", "--image", toyset["image"], "--ckpt", bad,
+                     "--weight-map", str(wm)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err and "Traceback" not in captured.err
+        assert all(line.startswith("# ") for line in captured.out.splitlines())
+        assert not wm.exists()
+
+    def test_nan_weights_exit_3_without_writing(self, toyset, trained_ckpt, tmp_path, capsys):
+        bad = with_nan_parameter(trained_ckpt, "head.weight.b2", tmp_path / "nan.ckpt")
+        wm = tmp_path / "wm.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["weight-map", "--image", toyset["image"], "--ckpt", bad,
+                         "--out", str(wm)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err and "Traceback" not in captured.err
+        assert not wm.exists()
+
+
+class TestBadCheckpoint:
+    """A checkpoint that cannot be loaded is an input error: exit 2, the
+    reason on stderr, no traceback."""
+
+    @staticmethod
+    def _score(toyset, ckpt, capsys):
+        code = main(["score", "--image", toyset["image"], "--ckpt", str(ckpt)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def test_non_utf8_blob_name(self, toyset, trained_ckpt, tmp_path, capsys):
+        blobs = [(name.encode("utf-8"), payload)
+                 for name, payload in read_checkpoint(trained_ckpt)]
+        blobs[1] = (b"param/\xff" + blobs[1][0][len("param/"):], blobs[1][1])
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(frame_checkpoint(blobs))
+        code, err = self._score(toyset, bad, capsys)
+        assert code == 2 and "not UTF-8" in err and "offset" in err
+
+    def test_short_array_header(self, toyset, trained_ckpt, tmp_path, capsys):
+        short = struct.pack("<I", 3) + b"\x00" * 4
+        blobs = [(name, short if name == "param/csm.phi" else payload)
+                 for name, payload in read_checkpoint(trained_ckpt)]
+        bad = tmp_path / "bad.ckpt"
+        write_checkpoint(bad, blobs)
+        code, err = self._score(toyset, bad, capsys)
+        assert code == 2 and "param/csm.phi" in err
+
+    @pytest.mark.parametrize("command", ["eval", "score"])
+    def test_old_format_names_removed_config_keys(self, command, toyset, trained_ckpt,
+                                                  tmp_path, capsys):
+        old = tmp_path / "old.ckpt"
+        write_old_format_checkpoint(old, load_model(trained_ckpt).state)
+        inputs = {"eval": ["--manifest", toyset["manifest"]],
+                  "score": ["--image", toyset["image"]]}[command]
+        assert main([command, *inputs, "--ckpt", str(old)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown keys {sorted(OLD_CONFIG_KEYS)}" in err and "Traceback" not in err
+
 
 class TestCountSettings:
     """Out-of-range counts and rates are input errors: exit 2, no output, no
@@ -270,6 +344,7 @@ class TestCountSettings:
         ("train", ["--lr", "-1"], "lr"),
         ("train", ["--weight-decay", "-5"], "weight_decay"),
         ("pretrain", ["--lr", "-1"], "lr"),
+        ("train", ["--depth", "-1"], "depth"),
     ])
     def test_exits_2_without_writing(self, command, flags, name, toyset, trained_ckpt,
                                      tmp_path, capsys):
@@ -344,6 +419,12 @@ class TestSettingsTable:
     TAKEN = [(c, k) for c, cmd in COMMANDS.items() for k in cmd.settings]
     NOT_TAKEN = [(c, k) for c, cmd in COMMANDS.items() for k in SETTINGS
                  if k not in cmd.settings]
+
+    def test_every_model_config_field_is_a_setting(self):
+        # ratio_mode is set by --ratio r; learnable_scale and init_std are
+        # library-only
+        library_only = {"ratio_mode", "learnable_scale", "init_std"}
+        assert {f.name for f in fields(ModelConfig)} <= set(SETTINGS) | library_only
 
     @staticmethod
     def _run(command, extra, tmp_path, capsys):

@@ -41,6 +41,29 @@ class TestMatmul:
         assert max_rel_err(a.grad, fd[0]) <= 1e-6
         assert max_rel_err(b.grad, fd[1]) <= 1e-6
 
+    def test_leading_axes_are_more_rows(self, rng):
+        a = nm.Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        b = nm.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        readout = nm.Tensor(rng.normal(size=(2, 3, 4)))
+        rows = (a.data.reshape(6, 5) @ b.data).reshape(2, 3, 4)
+        assert np.max(np.abs(nm.matmul(a, b).data - rows)) <= 1e-12
+
+        def fwd():
+            return nm.sum_all(nm.mul(nm.matmul(a, b), readout))
+
+        with nm.GradTape() as tape:
+            loss = fwd()
+        tape.backward(loss)
+        fd = central_diff_grads(lambda: fwd().item(), [a, b])
+        assert max_rel_err(a.grad, fd[0]) <= 1e-6
+        assert max_rel_err(b.grad, fd[1]) <= 1e-6
+
+    def test_rank_one_operand_rejected(self):
+        with pytest.raises(ShapeError):
+            nm.matmul(nm.Tensor(np.ones(3)), nm.Tensor(np.ones((3, 2))))
+        with pytest.raises(ShapeError):
+            nm.matmul(nm.Tensor(np.ones((2, 3))), nm.Tensor(np.ones(3)))
+
 
 class TestSoftmax:
     def test_symmetry(self):

@@ -39,6 +39,12 @@ class TestPgm:
         with pytest.raises(pnm.PnmError, match="truncated"):
             pnm.read_image(path)
 
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n\x0f\x10")
+        with pytest.raises(pnm.PnmError, match="16 exceeds maxval 15"):
+            pnm.read_image(path)
+
     def test_sixteen_bit_rejected(self, tmp_path):
         path = tmp_path / "deep.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
