@@ -8,7 +8,7 @@ trainable end to end on a from-scratch reverse-mode tape.
 
 from . import numerics
 from .data import ManifestRecord, generate_toy_dataset, read_manifest, split_records
-from .embedding import EmbeddingMatrix, PositionalTable, add_position, bypass_embed, embed
+from .embedding import add_position, bypass_embed, embed
 from .encoder import encode, encoder_block, msa, window_msa, window_refine
 from .head import aggregate, score, weight_map
 from .metrics import plcc, srcc

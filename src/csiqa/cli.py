@@ -209,9 +209,11 @@ def cmd_train(s: dict) -> int:
         model.update(ratio_mode="arbitrary", ratio=ModelConfig.ratio)
     cfg = ModelConfig(**model, seed=s["seed"])
     settings = TrainSettings(**{k: s[k] for k in _OPTIMIZER_KEYS}, steps=s["steps"] or None)
-    result = train(records, cfg, settings, csm_checkpoint=s["csm"])
+    csm = None
     if s["csm"] is not None:
-        _, _, csm_meta, _ = load_pretrained_csm(s["csm"])
+        csm, _, csm_meta, _ = load_pretrained_csm(s["csm"])
+    result = train(records, cfg, settings, csm=csm)
+    if csm is not None:
         print(f"# initialized sampling matrix from {s['csm']} "
               f"(pretrained at ratio {csm_meta['ratio']})")
     if result.history["val"]:

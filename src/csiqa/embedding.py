@@ -9,8 +9,6 @@ A learnable positional table is added to the tokens before encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numerics as nm
@@ -18,62 +16,15 @@ from .errors import ContractError, ShapeError
 from .sampling import MeasurementSet
 
 
-@dataclass
-class EmbeddingMatrix:
-    """Learnable base matrix whose column prefixes embed each ratio."""
-
-    matrix: nm.Tensor
-    embed_dim: int
-
-    def __post_init__(self):
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.embed_dim:
-            raise ShapeError(
-                f"embedding matrix must have {self.embed_dim} rows, got {self.matrix.shape}")
-
-    @property
-    def max_measurements(self) -> int:
-        return self.matrix.shape[1]
-
-
-@dataclass
-class PositionalTable:
-    """Learnable per-position embeddings; the first L rows serve L tokens."""
-
-    table: nm.Tensor
-
-    @property
-    def capacity(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.table.shape[1]
-
-
-def init_embedding(
-    embed_dim: int, block_size: int, rng: np.random.Generator, gain: float = 1.0
-) -> EmbeddingMatrix:
-    """Gaussian init at scale gain/B; gain 1 is variance-preserving at full ratio."""
-    side = block_size * block_size
-    raw = rng.normal(scale=gain / block_size, size=(embed_dim, side))
-    return EmbeddingMatrix(nm.Tensor(raw, requires_grad=True), embed_dim)
-
-
-def init_positions(capacity: int, embed_dim: int, rng: np.random.Generator) -> PositionalTable:
-    raw = nm.trunc_normal(rng, (capacity, embed_dim), std=0.02)
-    return PositionalTable(nm.Tensor(raw, requires_grad=True))
-
-
-def embed(em: EmbeddingMatrix, meas: MeasurementSet) -> nm.Tensor:
-    """Map each measurement row through the column-truncated matrix.
+def embed(matrix: nm.Tensor, meas: MeasurementSet) -> nm.Tensor:
+    """Map each measurement row through the column-truncated (d, B^2) matrix.
 
     Every image of a batch shares the one product: (N*L, m) -> (N*L, d).
     """
-    m = meas.measurement_length
-    if m > em.max_measurements:
-        raise ContractError(
-            f"measurement length {m} exceeds embedding width {em.max_measurements}")
-    cols = nm.slice_cols(em.matrix, 0, m) if m < em.max_measurements else em.matrix
+    m, width = meas.measurement_length, matrix.shape[1]
+    if m > width:
+        raise ContractError(f"measurement length {m} exceeds embedding width {width}")
+    cols = nm.slice_cols(matrix, 0, m) if m < width else matrix
     return nm.matmul(meas.values, nm.permute(cols, (1, 0)))
 
 
@@ -90,17 +41,16 @@ def bypass_embed(meas: MeasurementSet, embed_dim: int) -> nm.Tensor:
     return nm.concat_cols([meas.values, pad])
 
 
-def add_position(tokens: nm.Tensor, positions: PositionalTable) -> nm.Tensor:
-    """Add the first L rows of the positional table to L tokens.
+def add_position(tokens: nm.Tensor, table: nm.Tensor) -> nm.Tensor:
+    """Add the first L rows of the (capacity, d) positional table to L tokens.
 
     ``tokens`` is (L, d) or (N, L, d); the table broadcasts over N.
     """
     n = tokens.shape[-2]
-    if n > positions.capacity:
-        raise ContractError(
-            f"{n} tokens exceed positional capacity {positions.capacity}")
-    if tokens.shape[-1] != positions.embed_dim:
-        raise ShapeError(
-            f"token width {tokens.shape[-1]} != positional width {positions.embed_dim}")
-    rows = nm.slice_rows(positions.table, 0, n) if n < positions.capacity else positions.table
+    capacity, width = table.shape
+    if n > capacity:
+        raise ContractError(f"{n} tokens exceed positional capacity {capacity}")
+    if tokens.shape[-1] != width:
+        raise ShapeError(f"token width {tokens.shape[-1]} != positional width {width}")
+    rows = nm.slice_rows(table, 0, n) if n < capacity else table
     return nm.add(tokens, rows)

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 
-import numpy as np
-
 from . import numerics as nm
 from .errors import ContractError, ShapeError
 from .gridops import conv3x3, window_permutation
@@ -38,65 +36,45 @@ CONV_SCALE = 0.1
 
 
 # ---------------------------------------------------------------------------
-# Parameter initialization
+# Parameter shapes
 # ---------------------------------------------------------------------------
 
-def _proj(rng, d_in, d_out, std):
-    return nm.Tensor(nm.trunc_normal(rng, (d_in, d_out), std=std), requires_grad=True)
-
-
-def _zeros(n):
-    return nm.Tensor(np.zeros(n), requires_grad=True)
-
-
-def _ones(n):
-    return nm.Tensor(np.ones(n), requires_grad=True)
-
-
-def init_block_params(
-    embed_dim: int, rng: np.random.Generator, std: float = 0.02
-) -> dict[str, nm.Tensor]:
-    """Parameters for one post-norm block: attention, two norms, feed-forward.
+def block_shapes(embed_dim: int) -> dict[str, tuple[int, ...]]:
+    """Parameter shapes of one post-norm block: attention, two norms,
+    feed-forward, in draw order.
 
     The k projection has no bias: it would add ``q . kb`` to every score of
     a query, a constant shift of its softmax row, so nothing could learn it.
     """
     d, ff = embed_dim, FF_MULT * embed_dim
-    return {  # the literal's order is the RNG draw order
-        "attn.wq": _proj(rng, d, d, std), "attn.qb": _zeros(d),
-        "attn.wk": _proj(rng, d, d, std),
-        "attn.wv": _proj(rng, d, d, std), "attn.vb": _zeros(d),
-        "attn.wo": _proj(rng, d, d, std), "attn.ob": _zeros(d),
-        "ln1.g": _ones(d), "ln1.b": _zeros(d),
-        "ff.w1": _proj(rng, d, ff, std), "ff.b1": _zeros(ff),
-        "ff.w2": _proj(rng, ff, d, std), "ff.b2": _zeros(d),
-        "ln2.g": _ones(d), "ln2.b": _zeros(d),
+    return {
+        "attn.wq": (d, d), "attn.qb": (d,),
+        "attn.wk": (d, d),
+        "attn.wv": (d, d), "attn.vb": (d,),
+        "attn.wo": (d, d), "attn.ob": (d,),
+        "ln1.g": (d,), "ln1.b": (d,),
+        "ff.w1": (d, ff), "ff.b1": (ff,),
+        "ff.w2": (ff, d), "ff.b2": (d,),
+        "ln2.g": (d,), "ln2.b": (d,),
     }
 
 
-def init_encoder_params(
-    depth: int, embed_dim: int, rng: np.random.Generator, std: float = 0.02
-) -> dict[str, nm.Tensor]:
-    params = {}
-    for i in range(depth):
-        for k, v in init_block_params(embed_dim, rng, std).items():
-            params[f"block{i}.{k}"] = v
-    return params
+def encoder_shapes(depth: int, embed_dim: int) -> dict[str, tuple[int, ...]]:
+    """``depth`` blocks under ``block{i}.``."""
+    block = block_shapes(embed_dim)
+    return {f"block{i}.{k}": shape for i in range(depth) for k, shape in block.items()}
 
 
-def init_refiner_params(
-    embed_dim: int, rng: np.random.Generator, learnable_scale: bool = False,
-    std: float = 0.02,
-) -> dict[str, nm.Tensor]:
-    params = {}
-    for i in range(REFINE_LAYERS):
-        for k, v in init_block_params(embed_dim, rng, std).items():
-            params[f"stl{i}.{k}"] = v
-    params["conv.w"] = _proj(rng, 9 * embed_dim, embed_dim, std)
-    params["conv.b"] = _zeros(embed_dim)
+def refiner_shapes(embed_dim: int, learnable_scale: bool) -> dict[str, tuple[int, ...]]:
+    """The window layers under ``stl{i}.``, then the conv residual, with
+    its scale ``conv.alpha`` (one entry) only when that is learnable."""
+    block = block_shapes(embed_dim)
+    shapes = {f"stl{i}.{k}": shape for i in range(REFINE_LAYERS) for k, shape in block.items()}
+    shapes["conv.w"] = (9 * embed_dim, embed_dim)
+    shapes["conv.b"] = (embed_dim,)
     if learnable_scale:
-        params["conv.alpha"] = nm.Tensor(np.asarray(CONV_SCALE), requires_grad=True)
-    return params
+        shapes["conv.alpha"] = (1,)
+    return shapes
 
 
 class ParamGroup:

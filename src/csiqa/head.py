@@ -20,19 +20,16 @@ from .sampling import BlockGrid
 DENOMINATOR_EPS = 1e-8
 
 
-def init_head_params(embed_dim: int, rng: np.random.Generator, std: float = 0.02) -> dict[str, nm.Tensor]:
+def head_shapes(embed_dim: int) -> dict[str, tuple[int, ...]]:
+    """Parameter shapes of both branches, in draw order."""
     if embed_dim % 2:
         raise ContractError(f"embed_dim must be even for the d/2 hidden layer, got {embed_dim}")
     hidden = embed_dim // 2
-    params = {}
+    shapes = {}
     for branch in ("score", "weight"):
-        params[f"{branch}.w1"] = nm.Tensor(
-            nm.trunc_normal(rng, (embed_dim, hidden), std=std), requires_grad=True)
-        params[f"{branch}.b1"] = nm.Tensor(np.zeros(hidden), requires_grad=True)
-        params[f"{branch}.w2"] = nm.Tensor(
-            nm.trunc_normal(rng, (hidden, 1), std=std), requires_grad=True)
-        params[f"{branch}.b2"] = nm.Tensor(np.zeros(1), requires_grad=True)
-    return params
+        shapes.update({f"{branch}.w1": (embed_dim, hidden), f"{branch}.b1": (hidden,),
+                       f"{branch}.w2": (hidden, 1), f"{branch}.b2": (1,)})
+    return shapes
 
 
 def _branch(tokens: nm.Tensor, params: Mapping[str, nm.Tensor], name: str) -> nm.Tensor:

@@ -811,3 +811,17 @@ def trunc_normal(rng: np.random.Generator, shape, std: float, clip: float = 2.0)
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(out) > bound
     return out
+
+
+def init_params(shapes, rng: np.random.Generator, std: float) -> dict[str, Tensor]:
+    """One trainable tensor per ``name -> shape`` entry, drawn in table
+    order: matrices truncated-normal at ``std``, layer-norm gains (``*.g``)
+    one, every other tensor zero."""
+    params = {}
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            data = trunc_normal(rng, shape, std=std)
+        else:
+            data = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
+        params[name] = Tensor(data, requires_grad=True)
+    return params

@@ -33,42 +33,28 @@ from .data import (
     random_crop,
     split_records,
 )
-from .embedding import (
-    EmbeddingMatrix,
-    PositionalTable,
-    add_position,
-    bypass_embed,
-    embed,
-    init_embedding,
-    init_positions,
-)
-from .encoder import (
-    CONV_SCALE,
-    ParamGroup,
-    encode,
-    init_encoder_params,
-    init_refiner_params,
-    window_refine,
-)
+from .embedding import add_position, bypass_embed, embed
+from .encoder import CONV_SCALE, ParamGroup, encode, encoder_shapes, refiner_shapes, window_refine
 from .errors import (
     CheckpointFormatError,
     ContractError,
     CorrelationUndefinedError,
     NumericalDivergenceError,
 )
-from .head import init_head_params, score as head_score
+from .head import head_shapes, score as head_score
 from .metrics import plcc, srcc
 from .sampling import (
     CsnetReconstructor,
     SamplingMatrix,
-    init_reconstructor,
     measurement_count,
     random_sampling_matrix,
+    reconstructor_shapes,
     sample,
 )
 
 VARIANTS = ("cl-iqa", "cs-iqa")
 DEFAULT_RATIO_SET = (0.1, 0.2, 0.5, 1.0)
+VAL_CROPS = 3  # random crops per validation image
 
 
 @dataclass
@@ -102,12 +88,14 @@ class ModelConfig:
             raise ContractError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.ratio_mode not in ("fixed", "arbitrary"):
             raise ContractError(f"ratio_mode must be fixed or arbitrary, got {self.ratio_mode!r}")
-        for name in ("block_size", "embed_dim", "heads", "window", "crop_size"):
-            if getattr(self, name) < 1:
-                raise ContractError(
-                    f"{name} must be a positive integer, got {getattr(self, name)}")
-        if self.depth < 0:
-            raise ContractError(f"depth must be >= 0, got {self.depth}")
+        for name, least in (("block_size", 1), ("embed_dim", 1), ("depth", 0), ("heads", 1),
+                            ("window", 1), ("crop_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("init_std", "embed_gain"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.embed_dim % self.heads:
             raise ContractError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
@@ -182,23 +170,40 @@ class ModelState:
             t.zero_grad()
 
 
-def init_model(cfg: ModelConfig) -> ModelState:
-    """Seeded parameter initialization in a fixed draw order."""
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    params: dict[str, nm.Tensor] = {}
-    params["csm.phi"] = random_sampling_matrix(cfg.block_size, rng).matrix
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the serialization and draw order."""
+    d, side = cfg.embed_dim, cfg.block_size * cfg.block_size
+    shapes = {"csm.phi": (side, side)}
     if cfg.variant == "cl-iqa":
-        params["aem.embed"] = init_embedding(
-            cfg.embed_dim, cfg.block_size, rng, gain=cfg.embed_gain).matrix
-    params["aem.pos"] = init_positions(cfg.tokens_per_crop, cfg.embed_dim, rng).table
-    for k, v in init_encoder_params(cfg.depth, cfg.embed_dim, rng, std=cfg.init_std).items():
-        params[f"enc.{k}"] = v
-    refiner = init_refiner_params(cfg.embed_dim, rng, learnable_scale=cfg.learnable_scale,
-                                  std=cfg.init_std)
-    for k, v in refiner.items():
-        params[f"refine0.{k}"] = v
-    for k, v in init_head_params(cfg.embed_dim, rng, std=cfg.init_std).items():
-        params[f"head.{k}"] = v
+        shapes["aem.embed"] = (d, side)
+    shapes["aem.pos"] = (cfg.tokens_per_crop, d)
+    for prefix, part in (("enc.", encoder_shapes(cfg.depth, d)),
+                         ("refine0.", refiner_shapes(d, cfg.learnable_scale)),
+                         ("head.", head_shapes(d))):
+        shapes.update({prefix + name: shape for name, shape in part.items()})
+    return shapes
+
+
+def init_model(cfg: ModelConfig) -> ModelState:
+    """Seeded parameter initialization in the order of ``param_shapes``.
+
+    The sampling matrix is orthogonal, the embedding Gaussian at
+    embed_gain/B, the positional table truncated-normal at 0.02 and a
+    learnable conv scale starts at ``CONV_SCALE``; every other tensor
+    follows ``numerics.init_params`` at ``init_std``.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+    shapes = param_shapes(cfg)
+    params = {"csm.phi": random_sampling_matrix(cfg.block_size, rng).matrix}
+    if "aem.embed" in shapes:
+        params["aem.embed"] = nm.Tensor(rng.normal(
+            scale=cfg.embed_gain / cfg.block_size, size=shapes["aem.embed"]), requires_grad=True)
+    params["aem.pos"] = nm.Tensor(nm.trunc_normal(rng, shapes["aem.pos"], std=0.02),
+                                  requires_grad=True)
+    params.update(nm.init_params({k: v for k, v in shapes.items() if k not in params}, rng,
+                                 cfg.init_std))
+    if cfg.learnable_scale:
+        params["refine0.conv.alpha"].data[...] = CONV_SCALE
     return ModelState(cfg, params)
 
 
@@ -219,11 +224,11 @@ def forward(imgs: np.ndarray, state: ModelState, ratio: float | None = None):
     matrix = SamplingMatrix(state.params["csm.phi"], cfg.block_size)
     meas = sample(matrix, imgs, ratio)
     if cfg.variant == "cl-iqa":
-        tokens = embed(EmbeddingMatrix(state.params["aem.embed"], cfg.embed_dim), meas)
+        tokens = embed(state.params["aem.embed"], meas)
     else:
         tokens = bypass_embed(meas, cfg.embed_dim)
     tokens = nm.reshape(tokens, (meas.batch, meas.grid.num_blocks, cfg.embed_dim))
-    x = add_position(tokens, PositionalTable(state.params["aem.pos"]))
+    x = add_position(tokens, state.params["aem.pos"])
     x = encode(x, state.group("enc"), cfg.depth, cfg.heads)
     x = window_refine(x, meas.grid, state.group("refine0"), cfg.heads, cfg.window, CONV_SCALE)
     pooled, token_scores, token_weights = head_score(x, state.group("head"))
@@ -329,7 +334,6 @@ class TrainSettings:
     steps: int | None = None
     epochs: int = 100
     val_every: int | None = None  # 0 disables validation; None = once per epoch
-    val_crops: int = 3
 
     def __post_init__(self):
         if self.batch < 1:
@@ -339,8 +343,6 @@ class TrainSettings:
             # NaN passes: a non-finite update is a divergence, not an input error
             if value is not None and value < 0:
                 raise ContractError(f"{name} must be non-negative, got {value}")
-        if self.val_crops < 1:
-            raise ContractError(f"val_crops must be a positive integer, got {self.val_crops}")
 
     def total_steps(self, steps_per_epoch: int) -> int:
         return self.steps if self.steps is not None else self.epochs * steps_per_epoch
@@ -356,33 +358,24 @@ class TrainResult:
     best: dict | None
 
 
-def _snapshot(state: ModelState, opt: nm.AdamState, rng, history) -> dict:
-    return {
-        "params": {k: v.data.copy() for k, v in state.params.items()},
-        "opt_step": opt.step,
-        "opt_m": [m.copy() for m in opt.m] if opt.m is not None else None,
-        "opt_v": [v.copy() for v in opt.v] if opt.v is not None else None,
-        "rng_state": rng.bit_generator.state,
-        "history": json.loads(json.dumps(history)),
-    }
-
-
 def train(
     records: list[ManifestRecord],
     cfg: ModelConfig,
     settings: TrainSettings | None = None,
     resume: "LoadedCheckpoint | None" = None,
-    csm_checkpoint=None,
+    csm: SamplingMatrix | None = None,
 ) -> TrainResult:
     """Fit a model on the seeded training split of a manifest.
 
     Each step draws a batch without replacement, one fresh random crop per
     drawn image, and (in arbitrary mode) one ratio for the whole batch; all
     randomness comes from a single checkpointed stream, so training resumed
-    from a checkpoint continues bit-identically. Returns both the final
-    state and the best-on-validation state (lowest validation MSE). A
-    non-finite loss raises ``NumericalDivergenceError`` before its update,
-    and so does a non-finite parameter after the last update, by name.
+    from a checkpoint continues bit-identically. A fresh run takes its
+    sampling matrix from ``csm`` when one is given. Returns both the final
+    state and the best-on-validation state (lowest validation MSE), whose
+    parameter arrays and history up to it ``best`` holds. A non-finite loss
+    raises ``NumericalDivergenceError`` before its update, and so does a
+    non-finite parameter after the last update, by name.
     """
     settings = settings or TrainSettings()
     train_recs, _ = split_records(records, cfg.seed)
@@ -403,13 +396,12 @@ def train(
         opt = nm.AdamState()
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
         history = {"loss": [], "val": [], "best_step": None}
-        if csm_checkpoint is not None:
-            matrix, _, _, _ = load_pretrained_csm(csm_checkpoint)
-            if matrix.block_size != cfg.block_size:
+        if csm is not None:
+            if csm.block_size != cfg.block_size:
                 raise ContractError(
-                    f"pretrained sampling matrix has block size {matrix.block_size}, "
+                    f"pretrained sampling matrix has block size {csm.block_size}, "
                     f"model uses {cfg.block_size}")
-            state.params["csm.phi"].data[...] = matrix.matrix.data
+            state.params["csm.phi"].data[...] = csm.matrix.data
 
     params = state.parameters()
     steps_per_epoch = max(1, math.ceil(len(train_recs) / settings.batch))
@@ -450,7 +442,7 @@ def train(
         if val_every and val_recs and (step + 1) % val_every == 0:
             val_ratio = None if cfg.ratio_mode == "fixed" else DEFAULT_RATIO_SET[0]
             val_scores = predict_records(val_recs, state, ratio=val_ratio,
-                                         n_crops=settings.val_crops, images=val_imgs)
+                                         n_crops=VAL_CROPS, images=val_imgs)
             val_mos = np.array([r.mos for r in val_recs])
             mse = float(np.mean((val_scores - val_mos) ** 2))
             try:
@@ -461,7 +453,8 @@ def train(
             if mse < best_mse:
                 best_mse = mse
                 history["best_step"] = step + 1
-                best = _snapshot(state, opt, rng, history)
+                best = {"params": {k: v.data.copy() for k, v in state.params.items()},
+                        "history": json.loads(json.dumps(history))}
 
     for name, p in state.params.items():
         if not np.isfinite(p.data).all():
@@ -553,28 +546,28 @@ def _array_blob(blobs: dict[str, bytes], name: str, shape: tuple[int, ...], path
     return data
 
 
-def _param_blobs(blobs: dict[str, bytes], prefix: str, reference: dict[str, nm.Tensor],
+def _param_blobs(blobs: dict[str, bytes], prefix: str, shapes: dict[str, tuple[int, ...]],
                  path) -> dict[str, nm.Tensor]:
     """The parameters stored under ``prefix``: exactly the names of
-    ``reference``, each with its shape."""
-    extra = sorted(n for n in blobs if n.startswith(prefix) and n[len(prefix):] not in reference)
+    ``shapes``, each with its shape."""
+    extra = sorted(n for n in blobs if n.startswith(prefix) and n[len(prefix):] not in shapes)
     if extra:
         raise CheckpointFormatError(f"{path}: unexpected parameter blobs {extra}")
-    return {name: nm.Tensor(_array_blob(blobs, prefix + name, p.shape, path), requires_grad=True)
-            for name, p in reference.items()}
+    return {name: nm.Tensor(_array_blob(blobs, prefix + name, shape, path), requires_grad=True)
+            for name, shape in shapes.items()}
 
 
 def load_model(path) -> LoadedCheckpoint:
     """Read a model checkpoint, checking its config and every parameter's
-    name and shape against a freshly initialized model of that config."""
+    name and shape against ``param_shapes`` of that config."""
     blobs = dict(read_checkpoint(path))
     meta = _meta_blob(blobs, "model", path)
     try:
         cfg = ModelConfig.from_dict(meta.get("config"))
-        reference = init_model(cfg)
+        shapes = param_shapes(cfg)
     except (TypeError, ValueError) as e:  # ContractError is a ValueError
         raise CheckpointFormatError(f"{path}: invalid model config: {e}") from None
-    state = ModelState(cfg, _param_blobs(blobs, "param/", reference.params, path))
+    state = ModelState(cfg, _param_blobs(blobs, "param/", shapes, path))
 
     optimizer = None
     if "opt/step" in blobs:
@@ -584,10 +577,8 @@ def load_model(path) -> LoadedCheckpoint:
         except struct.error:
             raise CheckpointFormatError(
                 f"{path}: blob opt/step is not an 8-byte step count") from None
-        optimizer.m = [_array_blob(blobs, f"opt/m/{n}", p.shape, path)
-                       for n, p in reference.params.items()]
-        optimizer.v = [_array_blob(blobs, f"opt/v/{n}", p.shape, path)
-                       for n, p in reference.params.items()]
+        optimizer.m = [_array_blob(blobs, f"opt/m/{n}", s, path) for n, s in shapes.items()]
+        optimizer.v = [_array_blob(blobs, f"opt/v/{n}", s, path) for n, s in shapes.items()]
 
     rng = None
     if "rng/train" in blobs:
@@ -622,8 +613,8 @@ def save_pretrained_csm(path, matrix, reconstructor, ratio: float, losses) -> No
 
 def load_pretrained_csm(path):
     """Read a pretrained sampling checkpoint, checking its meta keys and
-    every parameter's name and shape against a freshly initialized
-    reconstructor of that geometry."""
+    every parameter's name and shape against ``reconstructor_shapes`` of
+    that geometry."""
     blobs = dict(read_checkpoint(path))
     meta = _meta_blob(blobs, "csm-pretrain", path)
     missing = [k for k in ("block_size", "ratio", "width") if k not in meta]
@@ -631,14 +622,13 @@ def load_pretrained_csm(path):
         raise CheckpointFormatError(f"{path}: meta/config is missing keys {missing}")
     block_size = meta["block_size"]
     try:
-        reference = init_reconstructor(block_size, meta["ratio"], np.random.default_rng(0),
-                                       width=meta["width"])
+        shapes = reconstructor_shapes(block_size, meta["ratio"], meta["width"])
     except (TypeError, ValueError) as e:  # ContractError is a ValueError
         raise CheckpointFormatError(f"{path}: invalid pretraining config: {e}") from None
     side = block_size * block_size
     phi = _array_blob(blobs, "param/csm.phi", (side, side), path)
     matrix = SamplingMatrix(nm.Tensor(phi, requires_grad=True), block_size)
     rec = CsnetReconstructor(block_size, meta["ratio"], meta["width"],
-                             _param_blobs(blobs, "param/csnet.", reference.params, path))
+                             _param_blobs(blobs, "param/csnet.", shapes, path))
     history = _json_blob(blobs, "meta/history", path) if "meta/history" in blobs else {}
     return matrix, rec, meta, history

@@ -206,26 +206,33 @@ class CsnetReconstructor:
         return measurement_count(self.block_size, self.ratio)
 
 
+def reconstructor_shapes(block_size: int, ratio: float, width: int) -> dict[str, tuple[int, ...]]:
+    """Parameter shapes of the reconstructor, in draw order."""
+    for name, value in (("block_size", block_size), ("width", width)):
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ContractError(f"reconstructor {name} must be a positive integer, got {value!r}")
+    m = measurement_count(block_size, ratio)
+    side = block_size * block_size
+    return {
+        "init.w": (m, side), "init.b": (side,),
+        "conv1.w": (9 * 1, width), "conv1.b": (width,),
+        "conv2.w": (9 * width, width), "conv2.b": (width,),
+        "conv3.w": (9 * width, 1), "conv3.b": (1,),
+    }
+
+
 def init_reconstructor(
     block_size: int, ratio: float, rng: np.random.Generator, width: int = 16
 ) -> CsnetReconstructor:
-    m = measurement_count(block_size, ratio)
-    side = block_size * block_size
-
-    def weight(fan_in, shape):
-        return nm.Tensor(rng.normal(scale=math.sqrt(1.0 / fan_in), size=shape),
-                         requires_grad=True)
-
-    params = {
-        "init.w": weight(m, (m, side)),
-        "init.b": nm.Tensor(np.zeros(side), requires_grad=True),
-        "conv1.w": weight(9, (9 * 1, width)),
-        "conv1.b": nm.Tensor(np.zeros(width), requires_grad=True),
-        "conv2.w": weight(9 * width, (9 * width, width)),
-        "conv2.b": nm.Tensor(np.zeros(width), requires_grad=True),
-        "conv3.w": nm.Tensor(np.zeros((9 * width, 1)), requires_grad=True),
-        "conv3.b": nm.Tensor(np.zeros(1), requires_grad=True),
-    }
+    """Gaussian weights at sqrt(1/fan-in), fan-in being a weight's rows;
+    zero biases and a zero last layer."""
+    params = {}
+    for name, shape in reconstructor_shapes(block_size, ratio, width).items():
+        if len(shape) == 1 or name == "conv3.w":
+            data = np.zeros(shape)
+        else:
+            data = rng.normal(scale=math.sqrt(1.0 / shape[0]), size=shape)
+        params[name] = nm.Tensor(data, requires_grad=True)
     return CsnetReconstructor(block_size, ratio, width, params)
 
 
@@ -310,10 +317,6 @@ def pretrain_csm(
     """
     if not corpus:
         raise ContractError("pretraining corpus is empty")
-    if block_size < 1:
-        raise ContractError(f"pretraining block_size must be a positive integer, got {block_size}")
-    if width < 1:
-        raise ContractError(f"pretraining width must be a positive integer, got {width}")
     if epochs < 0:
         raise ContractError(f"pretraining epochs must be non-negative, got {epochs}")
     if lr < 0:  # NaN passes, as in TrainSettings
@@ -322,12 +325,12 @@ def pretrain_csm(
     # whether or not a frozen matrix is supplied
     matrix_rng = np.random.default_rng(np.random.SeedSequence([seed, 11, 0]))
     recon_rng = np.random.default_rng(np.random.SeedSequence([seed, 11, 1]))
+    rec = init_reconstructor(block_size, ratio, recon_rng, width=width)  # checks the geometry
     if matrix is None:
         matrix = random_sampling_matrix(block_size, matrix_rng)
     if matrix.block_size != block_size:
         raise ContractError(
             f"matrix block size {matrix.block_size} != requested {block_size}")
-    rec = init_reconstructor(block_size, ratio, recon_rng, width=width)
     requires_grad = matrix.matrix.requires_grad
     matrix.matrix.requires_grad = bool(train_matrix)
     params = ([matrix.matrix] if train_matrix else []) + list(rec.params.values())

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import csiqa
 from csiqa.checkpoint import array_to_bytes, read_checkpoint, write_checkpoint
-from csiqa.pipeline import DEFAULT_RATIO_SET, save_model
+from csiqa.pipeline import DEFAULT_RATIO_SET, ModelConfig, save_model
 
 # Python expression: the scipy modules loaded in the interpreter evaluating it.
 SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
@@ -63,6 +64,29 @@ def write_old_format_checkpoint(path, state) -> None:
             key_bias = np.zeros(state.config.embed_dim)
             blobs.append((name[:-len("wk")] + "kb", array_to_bytes(key_bias)))
     write_checkpoint(path, blobs)
+
+
+# Checkpoints that declare a large geometry and hold no parameter: a model
+# of 64-wide tokens and 4 blocks, and a pretraining reconstructor 256 wide.
+GEOMETRY_ONLY_META = {
+    "model": {"kind": "model", "config": ModelConfig(embed_dim=64, depth=4).to_dict()},
+    "csm-pretrain": {"kind": "csm-pretrain", "block_size": 4, "ratio": 0.25, "width": 256},
+}
+
+
+def write_geometry_only_checkpoint(path, kind: str) -> str:
+    """A ``kind`` checkpoint at ``path`` whose only blob is ``meta/config``."""
+    write_checkpoint(path, [("meta/config", json.dumps(GEOMETRY_ONLY_META[kind]).encode())])
+    return str(path)
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the peak bytes ``tracemalloc`` saw while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def central_diff_grads(loss_fn, tensors, step=1e-5):

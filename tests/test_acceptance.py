@@ -21,7 +21,7 @@ from csiqa.data import (
     read_manifest,
     split_records,
 )
-from csiqa.encoder import init_block_params, msa, window_msa
+from csiqa.encoder import block_shapes, msa, window_msa
 from csiqa.head import aggregate
 from csiqa.metrics import plcc, srcc
 from csiqa.sampling import (
@@ -300,7 +300,7 @@ def test_criterion_10_persistence(toy_records, tmp_path):
 def test_criterion_11_encoder_fidelity(rng):
     d, heads = 16, 4
     grid = BlockGrid(4, 4, 1)
-    params = init_block_params(d, rng, std=0.3)
+    params = nm.init_params(block_shapes(d), rng, std=0.3)
     x = nm.Tensor(rng.normal(size=(16, d)))
     global_out, global_w = msa(x, params, heads, return_weights=True)
     window_out = window_msa(x, grid, params, heads, window=4, shift=0)

@@ -13,7 +13,13 @@ from csiqa.pipeline import ModelConfig, load_model, load_pretrained_csm, save_mo
 from csiqa.pnm import read_image
 from csiqa.sampling import random_sampling_matrix
 
-from conftest import OLD_CONFIG_KEYS, frame_checkpoint, write_old_format_checkpoint
+from conftest import (
+    OLD_CONFIG_KEYS,
+    frame_checkpoint,
+    traced_peak,
+    write_geometry_only_checkpoint,
+    write_old_format_checkpoint,
+)
 
 TINY_TRAIN = ["--block-size", "4", "--embed-dim", "16", "--depth", "1",
               "--heads", "4", "--window", "2", "--crop-size", "8",
@@ -306,6 +312,19 @@ class TestBadCheckpoint:
         write_checkpoint(bad, blobs)
         code, err = self._score(toyset, bad, capsys)
         assert code == 2 and "param/csm.phi" in err
+
+    @pytest.mark.parametrize("kind", ["model", "csm-pretrain"])
+    def test_geometry_only_file_exits_2(self, kind, toyset, tmp_path, capsys):
+        ckpt = write_geometry_only_checkpoint(tmp_path / "geometry.ckpt", kind)
+        out = tmp_path / "m.ckpt"
+        args = {"model": ["score", "--image", toyset["image"], "--ckpt", ckpt],
+                "csm-pretrain": ["train", "--manifest", toyset["manifest"], "--csm", ckpt,
+                                 "--out", str(out), *TINY_TRAIN]}[kind]
+        code, peak = traced_peak(lambda: main(args))
+        err = capsys.readouterr().err
+        assert code == 2 and "missing blob param/csm.phi" in err and "Traceback" not in err
+        assert peak < 256 * 1024
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "score"])
     def test_old_format_names_removed_config_keys(self, command, toyset, trained_ckpt,

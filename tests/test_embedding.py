@@ -18,28 +18,35 @@ def make_meas(values, block_size=4, ratio=None):
     return sp.MeasurementSet(nm.Tensor(values), grid, ratio)
 
 
+def embedding_matrix(embed_dim, rng, block_size=4):
+    """A (d, B^2) embedding drawn as ``init_model`` draws it at gain 1."""
+    side = block_size * block_size
+    return nm.Tensor(rng.normal(scale=1.0 / block_size, size=(embed_dim, side)),
+                     requires_grad=True)
+
+
 class TestEmbed:
     def test_zero_measurements_map_to_zero(self, rng):
-        e = em.init_embedding(8, 4, rng)
+        e = embedding_matrix(8, rng)
         out = em.embed(e, make_meas(np.zeros((3, 8))))
         assert np.array_equal(out.data, np.zeros((3, 8)))
 
     def test_identity_at_full_ratio(self, rng):
-        e = em.EmbeddingMatrix(nm.Tensor(np.eye(16)), 16)
+        e = nm.Tensor(np.eye(16))
         y = rng.random((5, 16))
         out = em.embed(e, make_meas(y, ratio=1.0))
         assert np.array_equal(out.data, y)
 
     def test_matches_zero_padding_oracle(self, rng):
-        e = em.init_embedding(6, 4, rng)
+        e = embedding_matrix(6, rng)
         y = rng.random((4, 8))  # ratio 0.5 of a 16-wide block
         out = em.embed(e, make_meas(y, ratio=0.5))
         padded = np.concatenate([y, np.zeros((4, 8))], axis=1)
-        oracle = padded @ e.matrix.data.T
+        oracle = padded @ e.data.T
         assert np.max(np.abs(out.data - oracle)) <= 1e-12
 
     def test_linearity(self, rng):
-        e = em.init_embedding(6, 4, rng)
+        e = embedding_matrix(6, rng)
         y1, y2 = rng.random((3, 8)), rng.random((3, 8))
         a, b = 2.5, -1.25
         lhs = em.embed(e, make_meas(a * y1 + b * y2, ratio=0.5)).data
@@ -48,7 +55,7 @@ class TestEmbed:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_overlong_measurements_rejected(self, rng):
-        e = em.init_embedding(6, 4, rng)
+        e = embedding_matrix(6, rng)
         with pytest.raises(ContractError):
             em.embed(e, make_meas(np.zeros((2, 17)), ratio=1.0))
 
@@ -56,24 +63,24 @@ class TestEmbed:
 class TestAddPosition:
     def test_zero_table_is_identity(self, rng):
         t = rng.random((3, 4))
-        pos = em.PositionalTable(nm.Tensor(np.zeros((8, 4))))
+        pos = nm.Tensor(np.zeros((8, 4)))
         assert np.array_equal(em.add_position(nm.Tensor(t), pos).data, t)
 
     def test_zero_tokens_give_table_prefix(self, rng):
         table = rng.random((8, 4))
-        pos = em.PositionalTable(nm.Tensor(table))
+        pos = nm.Tensor(table)
         out = em.add_position(nm.Tensor(np.zeros((3, 4))), pos)
         assert np.array_equal(out.data, table[:3])
 
     def test_additive_and_invertible(self, rng):
         table = rng.random((8, 4))
         tokens = rng.random((5, 4))
-        pos = em.PositionalTable(nm.Tensor(table))
+        pos = nm.Tensor(table)
         out = em.add_position(nm.Tensor(tokens), pos)
         assert np.max(np.abs((out.data - tokens) - table[:5])) <= 1e-15
 
     def test_capacity_error_names_both(self):
-        pos = em.PositionalTable(nm.Tensor(np.zeros((2, 4))))
+        pos = nm.Tensor(np.zeros((2, 4)))
         with pytest.raises(ContractError) as e:
             em.add_position(nm.Tensor(np.zeros((5, 4))), pos)
         assert "5" in str(e.value) and "2" in str(e.value)

@@ -51,7 +51,7 @@ def naive_block(x, p, heads):
 class TestMsa:
     def test_single_token_degenerate_attention(self, rng):
         d, heads = 8, 2
-        p = enc.init_block_params(d, rng)
+        p = nm.init_params(enc.block_shapes(d), rng, std=0.02)
         x = rng.normal(size=(1, d))
         out = enc.msa(nm.Tensor(x), p, heads)
         # one key => softmax weight 1 => value/output projection path only
@@ -62,14 +62,14 @@ class TestMsa:
 
     def test_matches_naive_per_head_loop(self, rng):
         d, heads = 12, 3
-        p = enc.init_block_params(d, rng)
+        p = nm.init_params(enc.block_shapes(d), rng, std=0.02)
         x = rng.normal(size=(5, d))
         out = enc.msa(nm.Tensor(x), p, heads)
         assert np.max(np.abs(out.data - naive_msa(x, arrs(p), heads))) <= 1e-12
 
     def test_attention_rows_sum_to_one(self, rng):
         d, heads = 8, 4
-        p = enc.init_block_params(d, rng)
+        p = nm.init_params(enc.block_shapes(d), rng, std=0.02)
         x = rng.normal(size=(6, d))
         _, w = enc.msa(nm.Tensor(x), p, heads, return_weights=True)
         assert w.shape == (heads, 6, 6)
@@ -79,14 +79,14 @@ class TestMsa:
 class TestEncoderBlock:
     def test_matches_naive_reimplementation(self, rng):
         d, heads = 8, 2
-        p = enc.init_block_params(d, rng)
+        p = nm.init_params(enc.block_shapes(d), rng, std=0.02)
         x = rng.normal(size=(4, d))
         out = enc.encoder_block(nm.Tensor(x), p, heads)
         assert np.max(np.abs(out.data - naive_block(x, arrs(p), heads))) <= 1e-12
 
     def test_permutation_equivariance(self, rng):
         d, heads = 8, 2
-        p = enc.init_block_params(d, rng)
+        p = nm.init_params(enc.block_shapes(d), rng, std=0.02)
         x = rng.normal(size=(6, d))
         perm = rng.permutation(6)
         out = enc.encoder_block(nm.Tensor(x), p, heads).data
@@ -95,14 +95,14 @@ class TestEncoderBlock:
 
     def test_post_norm_output_moments(self, rng):
         d, heads = 16, 4
-        p = enc.init_block_params(d, rng)  # unit gains, zero biases
+        p = nm.init_params(enc.block_shapes(d), rng, std=0.02)  # unit gains, zero biases
         x = rng.normal(size=(10, d))
         out = enc.encoder_block(nm.Tensor(x), p, heads).data
         assert np.max(np.abs(out.mean(axis=-1))) <= 1e-10
         assert np.max(np.abs(out.var(axis=-1) - 1.0)) <= 1e-6
 
     def test_head_mismatch_rejected(self, rng):
-        p = enc.init_block_params(8, rng)
+        p = nm.init_params(enc.block_shapes(8), rng, std=0.02)
         with pytest.raises(ContractError):
             enc.msa(nm.Tensor(np.zeros((2, 8))), p, 3)
 
@@ -114,7 +114,7 @@ class TestEncode:
         assert np.array_equal(out.data, x)
 
     def test_two_blocks_compose(self, rng):
-        params = enc.init_encoder_params(2, 8, rng)
+        params = nm.init_params(enc.encoder_shapes(2, 8), rng, std=0.02)
         x = nm.Tensor(rng.normal(size=(4, 8)))
         root = enc.ParamGroup(params)
         stacked = enc.encode(x, root, 2, 2).data
@@ -123,7 +123,7 @@ class TestEncode:
         assert np.array_equal(stacked, step2.data)
 
     def test_gradient_vs_finite_differences(self, rng):
-        params = enc.init_encoder_params(2, 8, rng, std=0.3)
+        params = nm.init_params(enc.encoder_shapes(2, 8), rng, std=0.3)
         x0 = nm.Tensor(rng.normal(size=(4, 8)), requires_grad=True)
         # random readout so the norm symmetries cannot cancel the loss
         readout = nm.Tensor(rng.normal(size=(4, 8)))
@@ -144,7 +144,7 @@ class TestWindowAttention:
     def test_full_grid_window_equals_global_msa(self, rng):
         d, heads = 8, 2
         grid = BlockGrid(4, 4, 1)
-        p = enc.init_block_params(d, rng)
+        p = nm.init_params(enc.block_shapes(d), rng, std=0.02)
         x = nm.Tensor(rng.normal(size=(16, d)))
         global_out = enc.msa(x, p, heads).data
         window_out = enc.window_msa(x, grid, p, heads, window=4, shift=0).data
@@ -155,7 +155,7 @@ class TestWindowAttention:
     def test_window_rows_sum_to_one(self, rng):
         d, heads = 8, 2
         grid = BlockGrid(4, 4, 1)
-        p = enc.init_block_params(d, rng)
+        p = nm.init_params(enc.block_shapes(d), rng, std=0.02)
         x = nm.Tensor(rng.normal(size=(16, d)))
         _, w = enc.window_msa(x, grid, p, heads, window=2, shift=1, return_weights=True)
         assert w.shape == (4, heads, 4, 4)
@@ -165,7 +165,7 @@ class TestWindowAttention:
         """Tokens in different windows must not influence each other."""
         d, heads = 4, 1
         grid = BlockGrid(2, 4, 1)
-        p = enc.init_block_params(d, rng)
+        p = nm.init_params(enc.block_shapes(d), rng, std=0.02)
         x = rng.normal(size=(8, d))
         out = enc.window_msa(nm.Tensor(x), grid, p, heads, window=2, shift=0).data
         bumped = x.copy()
@@ -177,7 +177,7 @@ class TestWindowAttention:
         assert not np.allclose(out[7], out2[7])
 
     def test_grid_not_divisible_rejected(self, rng):
-        p = enc.init_block_params(4, rng)
+        p = nm.init_params(enc.block_shapes(4), rng, std=0.02)
         with pytest.raises(ContractError):
             enc.window_msa(nm.Tensor(np.zeros((6, 4))), BlockGrid(2, 3, 1), p, 1, window=2)
 
@@ -186,7 +186,7 @@ class TestWindowRefine:
     def test_zero_scale_leaves_attention_output(self, rng):
         d, heads = 4, 2
         grid = BlockGrid(2, 2, 1)
-        params = enc.init_refiner_params(d, rng)
+        params = nm.init_params(enc.refiner_shapes(d, False), rng, std=0.02)
         x = nm.Tensor(rng.normal(size=(4, d)))
         root = enc.ParamGroup(params)
         out = enc.window_refine(x, grid, root, heads, 2, 0.0).data
@@ -198,7 +198,7 @@ class TestWindowRefine:
         d, heads = 2, 1
         grid = BlockGrid(2, 2, 1)
         conv_scale = 0.3
-        params = enc.init_refiner_params(d, rng)
+        params = nm.init_params(enc.refiner_shapes(d, False), rng, std=0.02)
         x = rng.normal(size=(4, d))
         out = enc.window_refine(nm.Tensor(x), grid, enc.ParamGroup(params), heads, 2,
                                 conv_scale).data
@@ -233,7 +233,8 @@ class TestWindowRefine:
     def test_gradient_vs_finite_differences(self, rng):
         d, heads = 4, 2
         grid = BlockGrid(2, 2, 1)
-        params = enc.init_refiner_params(d, rng, learnable_scale=True, std=0.3)
+        params = nm.init_params(enc.refiner_shapes(d, True), rng, std=0.3)
+        params["conv.alpha"].data[...] = enc.CONV_SCALE
         x = rng.normal(size=(4, d))
         readout = nm.Tensor(rng.normal(size=(4, d)))
         checked = [params["stl0.attn.wq"], params["conv.w"], params["conv.alpha"]]

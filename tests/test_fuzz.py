@@ -2,12 +2,13 @@
 
 For any byte string, each parser returns a valid result or raises
 ``ContractError`` or ``CheckpointError``, nothing else; and ``csiqa score``
-on a mutated checkpoint exits 0, 2 or 3 without a traceback. Examples are
-derandomized, so every run checks the same inputs.
+and ``csiqa eval`` on a mutated checkpoint exit 0, 2 or 3 without a
+traceback. Examples are derandomized, so every run checks the same inputs.
 """
 
 import contextlib
 import io
+import json
 import math
 import struct
 
@@ -17,10 +18,19 @@ from hypothesis import given, settings, strategies as st
 
 from csiqa.checkpoint import array_from_bytes, read_checkpoint
 from csiqa.cli import main, parse_config_file
-from csiqa.data import ManifestRecord, read_manifest
+from csiqa.data import ManifestRecord, generate_toy_dataset, read_manifest
 from csiqa.errors import CheckpointError, ContractError
-from csiqa.pipeline import ModelConfig, init_model, save_model
+from csiqa.pipeline import (
+    ModelConfig,
+    TrainSettings,
+    init_model,
+    load_pretrained_csm,
+    save_model,
+    save_pretrained_csm,
+    train,
+)
 from csiqa.pnm import read_image, write_pgm
+from csiqa.sampling import init_reconstructor, random_sampling_matrix, reconstructor_shapes
 
 from conftest import frame_checkpoint
 
@@ -161,3 +171,81 @@ def test_score_on_mutated_checkpoint(workdir, score_inputs, edit):
         code = main(["score", "--image", image, "--ckpt", str(ckpt), "--crops", "1"])
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def run_cli(args) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(workdir):
+    """Blobs of a small model's checkpoint after two training steps, with
+    its optimizer moments and RNG state, and a manifest to evaluate on."""
+    manifest = generate_toy_dataset(workdir / "toy", n_images=10, size=8, seed=5)
+    cfg = ModelConfig(block_size=4, embed_dim=16, depth=1, heads=4, window=2, crop_size=8)
+    run = train(read_manifest(manifest), cfg, TrainSettings(batch=4, lr=1e-3, steps=2,
+                                                            val_every=0))
+    ckpt = workdir / "trained.ckpt"
+    save_model(ckpt, run.state, run.optimizer, run.rng, run.history)
+    return [(name.encode("utf-8"), payload) for name, payload in read_checkpoint(ckpt)], manifest
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on mutated weights
+@settings(FUZZ, max_examples=100)
+@given(edit=edits)
+def test_eval_on_mutated_checkpoint(workdir, eval_inputs, edit):
+    blobs, manifest = eval_inputs
+    ckpt = workdir / "mutated-trained.ckpt"
+    ckpt.write_bytes(apply_edit(blobs, edit))
+    code, err = run_cli(["eval", "--manifest", manifest, "--ckpt", str(ckpt), "--crops", "1"])
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def csm_blobs(workdir):
+    """Blobs of a block-size 2, width 2 pretraining checkpoint."""
+    rng = np.random.default_rng(0)
+    ckpt = workdir / "csm.ckpt"
+    save_pretrained_csm(ckpt, random_sampling_matrix(2, rng),
+                        init_reconstructor(2, 0.5, rng, width=2), 0.5, [0.25])
+    return [(name.encode("utf-8"), payload) for name, payload in read_checkpoint(ckpt)]
+
+
+# A pretraining meta/config with each key left out, valid, or any JSON scalar.
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.integers(),
+                         st.floats(), st.text(max_size=3))
+csm_metas = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["csm-pretrain", "model"]),
+    "block_size": st.one_of(st.just(2), json_scalars),
+    "ratio": st.one_of(st.just(0.5), json_scalars),
+    "width": st.one_of(st.just(2), json_scalars),
+})
+
+
+@st.composite
+def csm_checkpoints(draw, blobs):
+    """A pretraining checkpoint's bytes: any bytes, one edit of a valid
+    file, or a valid file's parameter blobs under a generated meta/config."""
+    return draw(st.one_of(
+        checkpoint_bytes,
+        edits.map(lambda edit: apply_edit(blobs, edit)),
+        csm_metas.map(lambda meta: frame_checkpoint(
+            [(b"meta/config", json.dumps(meta).encode())] + blobs[1:])),
+    ))
+
+
+@FUZZ
+@given(data=st.data())
+def test_load_pretrained_csm(workdir, csm_blobs, data):
+    loaded = parse_file(workdir / "p.ckpt", data.draw(csm_checkpoints(csm_blobs)),
+                        load_pretrained_csm)
+    if loaded is not None:
+        matrix, rec, meta, _ = loaded
+        side = meta["block_size"] ** 2
+        assert matrix.matrix.shape == (side, side)
+        shapes = reconstructor_shapes(meta["block_size"], meta["ratio"], meta["width"])
+        assert {name: t.shape for name, t in rec.params.items()} == shapes

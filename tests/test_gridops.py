@@ -128,7 +128,7 @@ def test_pretraining_bitwise_equals_gather_scatter_conv(rng, monkeypatch):
 def test_window_msa_bitwise_equals_gather_scatter_reference(batch, shift, rng):
     d, heads, window = 8, 2, 2
     grid = BlockGrid(4, 6, 1)
-    p = enc.init_block_params(d, rng, std=0.3)
+    p = nm.init_params(enc.block_shapes(d), rng, std=0.3)
     n = batch * grid.num_blocks
     x = nm.Tensor(rng.normal(size=(n, d)), requires_grad=True)
     readout = rng.normal(size=(n, d))

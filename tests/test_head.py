@@ -50,7 +50,7 @@ class TestAggregate:
 
 class TestScore:
     def test_outputs_and_weight_range(self, rng):
-        params = hd.init_head_params(8, rng)
+        params = nm.init_params(hd.head_shapes(8), rng, std=0.02)
         tokens = nm.Tensor(rng.normal(size=(6, 8)))
         pooled, s, w = hd.score(tokens, params)
         assert np.isfinite(pooled.item())
@@ -59,7 +59,7 @@ class TestScore:
         assert s.min() - 1e-6 <= pooled.item() <= s.max() + 1e-6
 
     def test_deterministic(self, rng):
-        params = hd.init_head_params(8, rng)
+        params = nm.init_params(hd.head_shapes(8), rng, std=0.02)
         tokens = nm.Tensor(rng.normal(size=(3, 8)))
         a = hd.score(tokens, params)[0].item()
         b = hd.score(tokens, params)[0].item()
@@ -67,7 +67,7 @@ class TestScore:
 
     def test_odd_embed_dim_rejected(self, rng):
         with pytest.raises(ContractError):
-            hd.init_head_params(7, rng)
+            hd.head_shapes(7)
 
 
 class TestWeightMap:

@@ -418,3 +418,19 @@ class TestTensorBasics:
         w = nm.Tensor([1.0], requires_grad=True)
         out = nm.mul(w, w)
         assert not out.requires_grad and out._tape is None
+
+
+def test_init_params_policy_and_order(rng):
+    shapes = {"w": (3, 4), "ln.g": (4,), "ln.b": (4,), "alpha": (1,), "v": (2, 5)}
+    params = nm.init_params(shapes, rng, std=0.5)
+    assert [(n, t.shape) for n, t in params.items()] == list(shapes.items())
+    assert all(t.requires_grad for t in params.values())
+    for name in ("w", "v"):
+        assert 0.0 < np.max(np.abs(params[name].data)) <= 1.0  # within two sigmas
+    assert np.array_equal(params["ln.g"].data, np.ones(4))
+    assert not params["ln.b"].data.any() and not params["alpha"].data.any()
+    again = np.random.default_rng(np.random.SeedSequence(1))
+    first = nm.trunc_normal(again, (3, 4), std=0.5)
+    replay = nm.init_params(shapes, np.random.default_rng(np.random.SeedSequence(1)), std=0.5)
+    assert np.array_equal(replay["w"].data, first)
+    assert np.array_equal(replay["v"].data, nm.trunc_normal(again, (2, 5), std=0.5))

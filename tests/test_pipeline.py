@@ -9,13 +9,25 @@ from csiqa import numerics as nm
 from csiqa import pipeline as pl
 from csiqa.checkpoint import array_to_bytes, read_checkpoint, write_checkpoint
 from csiqa.data import generate_toy_dataset, pad_to_size, random_crop, read_manifest
-from csiqa.embedding import PositionalTable, add_position
+from csiqa.embedding import add_position
 from csiqa.encoder import CONV_SCALE, encode, window_refine
-from csiqa.errors import CheckpointFormatError, ContractError, NumericalDivergenceError
+from csiqa.errors import (
+    CheckpointFormatError,
+    ContractError,
+    NumericalDivergenceError,
+    ShapeError,
+)
 from csiqa.head import score as head_score
 from csiqa.sampling import split_blocks
 
-from conftest import SCIPY_MODULES, central_diff_grads, max_rel_err, run_fresh
+from conftest import (
+    SCIPY_MODULES,
+    central_diff_grads,
+    max_rel_err,
+    run_fresh,
+    traced_peak,
+    write_geometry_only_checkpoint,
+)
 
 try:
     import resource
@@ -45,6 +57,12 @@ class TestForward:
         assert diag["grid"].num_blocks == 4
         assert diag["measurements_per_block"] == 2
 
+    def test_embedding_rows_must_match_token_width(self):
+        state = pl.init_model(pl.ModelConfig(**TINY))
+        state.params["aem.embed"] = nm.Tensor(np.zeros((8, 16)), requires_grad=True)
+        with pytest.raises(ShapeError):
+            pl.forward(np.zeros((8, 8)), state, 0.25)
+
     def test_identity_configuration_matches_raw_block_pipeline(self, rng):
         # full ratio, identity sampling and embedding: the model must equal
         # the same encoder/head applied directly to raw flattened blocks
@@ -56,7 +74,7 @@ class TestForward:
         via_model, _ = pl.forward(img, state, 1.0)
 
         blocks, grid = split_blocks(img, 4)
-        x = add_position(nm.Tensor(blocks), PositionalTable(state.params["aem.pos"]))
+        x = add_position(nm.Tensor(blocks), state.params["aem.pos"])
         x = encode(x, state.group("enc"), cfg.depth, cfg.heads)
         x = window_refine(x, grid, state.group("refine0"), cfg.heads, cfg.window, CONV_SCALE)
         direct, _, _ = head_score(x, state.group("head"))
@@ -256,7 +274,7 @@ class TestTraining:
 
 
     @pytest.mark.parametrize("field,value", [
-        ("batch", 0), ("batch", -3), ("steps", -1), ("epochs", -1), ("val_crops", 0),
+        ("batch", 0), ("batch", -3), ("steps", -1), ("epochs", -1),
         ("lr", -1.0), ("weight_decay", -1.0),
     ])
     def test_out_of_range_counts_rejected(self, field, value):
@@ -289,6 +307,18 @@ class TestPersistence:
         for name in state.params:
             assert np.array_equal(loaded.state.params[name].data, state.params[name].data)
         assert loaded.state.config.to_dict() == cfg.to_dict()
+
+    @pytest.mark.parametrize("extra", [{}, {"variant": "cs-iqa"}, {"depth": 0},
+                                       {"learnable_scale": True}],
+                             ids=["cl-iqa", "cs-iqa", "depth-0", "learnable-scale"])
+    def test_param_shapes_are_what_init_and_load_give(self, tmp_path, extra):
+        cfg = pl.ModelConfig(**{**TINY, **extra})
+        state = pl.init_model(cfg)
+        shapes = pl.param_shapes(cfg)
+        assert [(n, t.shape) for n, t in state.params.items()] == list(shapes.items())
+        path = tmp_path / "m.ckpt"
+        pl.save_model(path, state)
+        assert list(pl.load_model(path).state.params) == list(shapes)
 
     def test_resume_equals_uninterrupted_training_bitwise(self, tmp_path, tiny_manifest):
         cfg = pl.ModelConfig(**TINY, seed=3)
@@ -342,6 +372,16 @@ class TestPersistence:
         expected = state.params["head.score.w1"].shape
         assert f"head.score.w1 has shape (3, 5), the config needs {expected}" in str(e.value)
 
+    @pytest.mark.parametrize("kind", ["model", "csm-pretrain"])
+    def test_geometry_only_file_fails_without_building_a_model(self, tmp_path, kind):
+        # the parameter shapes come from the declared config; nothing of
+        # that geometry is allocated or drawn before the first missing blob
+        path = write_geometry_only_checkpoint(tmp_path / "geometry.ckpt", kind)
+        load = {"model": pl.load_model, "csm-pretrain": pl.load_pretrained_csm}[kind]
+        error, peak = traced_peak(lambda: pytest.raises(CheckpointFormatError, load, path))
+        assert "missing blob param/csm.phi" in str(error.value)
+        assert peak < 256 * 1024
+
     def test_csm_checkpoint_initializes_sampling_matrix(self, tmp_path, tiny_manifest, rng):
         from csiqa.sampling import pretrain_csm
         corpus = [rng.random((8, 8)) for _ in range(2)]
@@ -353,7 +393,7 @@ class TestPersistence:
         result = pl.train(tiny_manifest, cfg,
                           pl.TrainSettings(batch=2, lr=0.0, weight_decay=0.0,
                                            steps=1, val_every=0),
-                          csm_checkpoint=path)
+                          csm=pl.load_pretrained_csm(path)[0])
         assert np.array_equal(result.state.params["csm.phi"].data, matrix.matrix.data)
 
 
@@ -422,7 +462,7 @@ class TestPersistence:
     def test_csm_initialization_prints_nothing(self, csm_checkpoint, tiny_manifest, capsys):
         pl.train(tiny_manifest, pl.ModelConfig(**TINY, seed=0),
                  pl.TrainSettings(batch=2, lr=0.0, steps=1, val_every=0),
-                 csm_checkpoint=csm_checkpoint)
+                 csm=pl.load_pretrained_csm(csm_checkpoint)[0])
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("edit,message", [
@@ -556,6 +596,16 @@ class TestConfig:
     def test_negative_depth_rejected(self):
         with pytest.raises(ContractError, match="depth"):
             pl.ModelConfig(depth=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("embed_dim", 32.0), ("depth", 1.5), ("seed", -1), ("seed", 0.5),
+        ("init_std", -0.1), ("embed_gain", float("nan")),
+    ])
+    def test_values_init_cannot_draw_with_rejected(self, field, value):
+        # loading builds no model, so the config itself must rule out what
+        # init_model could not draw from
+        with pytest.raises(ContractError, match=field):
+            pl.ModelConfig(**{field: value})
 
     def test_desk_model_parameters(self):
         params = pl.init_model(pl.ModelConfig()).params
