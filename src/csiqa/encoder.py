@@ -219,8 +219,5 @@ def window_refine(
         shift = (window // 2) if i % 2 else 0
         x = window_block(x, grid, params.group(f"stl{i}"), heads, window, shift)
     conv_out = conv3x3(x, grid.blocks_h, grid.blocks_w, params["conv.w"], params["conv.b"])
-    if "conv.alpha" in params:
-        scaled = nm.mul(conv_out, params["conv.alpha"])
-    else:
-        scaled = nm.scale(conv_out, conv_scale)
-    return nm.reshape(nm.add(scaled, x), shape)
+    alpha = params["conv.alpha"] if "conv.alpha" in params else nm.Tensor(conv_scale)
+    return nm.reshape(nm.add(nm.mul(conv_out, alpha), x), shape)

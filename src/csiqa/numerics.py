@@ -11,17 +11,19 @@ its ``backward`` on a scalar loss to populate ``.grad`` on every reachable
 tensor with ``requires_grad=True``. Code that runs outside a tape performs
 no recording and is safe to run in parallel over read-only tensors.
 
-The encoder's hot path uses three fused kernels (``attention``,
-``residual_layer_norm``, ``affine_gelu``), one tape record each, that are
-bitwise equal to the chains of plain ops they stand for; the plain ops
-remain as their reference.
+The module holds the ops the model calls, each taking ``Tensor``s (a
+constant factor is ``mul`` by a ``Tensor``), plus ``bmm`` and
+``gather_rows``, which ``perfbench/tracer.py`` still wraps. The encoder's
+hot path uses three fused kernels (``attention``, ``residual_layer_norm``,
+``affine_gelu``), one tape record each, bitwise equal to the chains of
+plain ops that ``tests/unfused.py`` composes as their reference.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +47,7 @@ _pad_heap_top()
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
-# Variance floor of layer_norm and residual_layer_norm; keeps constant rows finite.
+# Variance floor of residual_layer_norm; keeps constant rows finite.
 _LN_EPS = 1e-8
 
 # Stack of currently recording tapes (innermost last). Single-writer.
@@ -94,10 +96,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-
-def as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 class GradTape:
@@ -184,8 +182,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # Elementwise arithmetic (numpy broadcasting, gradient reduced to each input)
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backprop(g):
@@ -197,8 +194,7 @@ def add(a, b) -> Tensor:
     return _make(out, (a, b), backprop)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def backprop(g):
@@ -210,8 +206,7 @@ def sub(a, b) -> Tensor:
     return _make(out, (a, b), backprop)
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def backprop(g):
@@ -223,8 +218,7 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), backprop)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def div(a: Tensor, b: Tensor) -> Tensor:
     out = a.data / b.data
 
     def backprop(g):
@@ -236,18 +230,6 @@ def div(a, b) -> Tensor:
     return _make(out, (a, b), backprop)
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a non-learnable python scalar."""
-    x = as_tensor(x)
-    c = float(c)
-
-    def backprop(g):
-        if x.requires_grad:
-            _accumulate(x, g * c)
-
-    return _make(x.data * c, (x,), backprop)
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra
 # ---------------------------------------------------------------------------
@@ -255,7 +237,6 @@ def scale(x: Tensor, c: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """``a @ b`` over the last axis of a; leading axes of a (a batch of
     samples) are treated as more rows, as in ``affine``."""
-    a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim != 2:
         raise ShapeError(
             f"matmul needs a rank >= 2 and a rank-2 tensor, got {a.shape} and {b.shape}")
@@ -274,7 +255,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of the last two axes, batched over equal leading axes."""
-    a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 3 or a.ndim != b.ndim:
         raise ShapeError(f"bmm needs two tensors of one rank >= 3, got {a.shape} and {b.shape}")
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
@@ -302,7 +282,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     Leading axes of x (a batch of samples) are treated as more rows.
     """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     _check_affine(x, w, b)
     out = x.data @ w.data + b.data
     return _make(out, (x, w, b), lambda g: _affine_backprop(x, w, b, g))
@@ -320,7 +299,6 @@ def _affine_backprop(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
 
 
 def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    x = as_tensor(x)
     if sorted(axes) != list(range(x.ndim)):
         raise ShapeError(f"permute axes {axes} invalid for shape {x.shape}")
     inverse = sorted(range(len(axes)), key=axes.__getitem__)
@@ -333,7 +311,6 @@ def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    x = as_tensor(x)
     if math.prod(shape) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
     old = x.shape
@@ -350,7 +327,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    x = as_tensor(x)
     if x.ndim != 2 or not (0 <= start < stop <= x.shape[0]):
         raise ShapeError(f"row slice [{start}:{stop}] invalid for shape {x.shape}")
 
@@ -364,7 +340,6 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    x = as_tensor(x)
     if x.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
         raise ShapeError(f"column slice [{start}:{stop}] invalid for shape {x.shape}")
 
@@ -379,7 +354,6 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 
 def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     """Select rows by integer index; index ``-1`` yields an all-zero row."""
-    x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"gather_rows expects rank 2, got {x.shape}")
     idx = np.asarray(index, dtype=np.int64)
@@ -406,7 +380,6 @@ def permute_rows(x: Tensor, order: np.ndarray, inverse: np.ndarray) -> Tensor:
     ``inverse`` must be the inverse permutation (``inverse[order[i]] == i``);
     the backward is then the gather ``g[inverse]``, with no scatter.
     """
-    x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"permute_rows expects rank 2, got {x.shape}")
     if order.shape != (x.shape[0],) or inverse.shape != (x.shape[0],):
@@ -442,9 +415,8 @@ def im2col3x3(x: np.ndarray, height: int, width: int) -> np.ndarray:
     return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, 9 * c)
 
 
-def concat_cols(parts: Iterable[Tensor]) -> Tensor:
+def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     """Rank-2 tensors of equal row count, side by side."""
-    parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ContractError("concat of zero parts")
     if any(p.ndim != 2 for p in parts):
@@ -466,7 +438,6 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
 
 def sum_axes(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     """Sum over the given axes, which are dropped from the shape."""
-    x = as_tensor(x)
     total = x.data.sum(axis=axes, keepdims=True)
     kept = total.shape
 
@@ -477,13 +448,7 @@ def sum_axes(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _make(total.squeeze(axes), (x,), backprop)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    return sum_axes(x, tuple(range(x.ndim)))
-
-
 def mean_all(x: Tensor) -> Tensor:
-    x = as_tensor(x)
     n = x.size
 
     def backprop(g):
@@ -494,78 +459,10 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Nonlinearities and normalization
+# Nonlinearities
 # ---------------------------------------------------------------------------
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-stabilized softmax along ``axis``; outputs sum to 1 there."""
-    x = as_tensor(x)
-    if not (-x.ndim <= axis < x.ndim):
-        raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def backprop(g):
-        if x.requires_grad:
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            _accumulate(x, y * (g - dot))
-
-    return _make(y, (x,), backprop)
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> Tensor:
-    """Per-row normalization over the last axis, then affine gain and bias.
-
-    Uses the biased variance. ``eps`` keeps the constant-row case finite.
-    """
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = xhat * gain.data + bias.data
-
-    def backprop(g):
-        if bias.requires_grad:
-            _accumulate(bias, _unbroadcast(g, bias.shape))
-        if gain.requires_grad:
-            _accumulate(gain, _unbroadcast(g * xhat, gain.shape))
-        if x.requires_grad:
-            gx_hat = g * gain.data
-            m1 = gx_hat.mean(axis=-1, keepdims=True)
-            m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv_std * (gx_hat - m1 - xhat * m2))
-
-    return _make(out, (x, gain, bias), backprop)
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation:
-    0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
-    """
-    x = as_tensor(x)
-    sq = x.data * x.data
-    u = _SQRT_2_OVER_PI * (x.data + _GELU_CUBIC * (sq * x.data))
-    t = np.tanh(u)
-    out = 0.5 * x.data * (1.0 + t)
-
-    def backprop(g):
-        if x.requires_grad:
-            du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * sq)
-            local = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-            _accumulate(x, g * local)
-
-    return _make(out, (x,), backprop)
-
-
 def relu(x: Tensor) -> Tensor:
-    x = as_tensor(x)
     out = np.maximum(x.data, 0.0)
 
     def backprop(g):
@@ -576,7 +473,6 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    x = as_tensor(x)
     out = 1.0 / (1.0 + np.exp(-x.data))
 
     def backprop(g):
@@ -589,16 +485,16 @@ def sigmoid(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Fused encoder kernels
 #
-# Each is one tape record standing for a chain of the ops above, and each
-# is bitwise equal to that chain, forward and backward: it evaluates the
-# same expressions in the same order, only in place (``out=`` and augmented
-# ufuncs) and without the per-op records. Where an unfused op multiplied or
-# added in the other operand order, the fused one relies on IEEE ``*`` and
-# ``+`` being commutative. Matrix products keep the unfused operand layouts,
-# since a transposed view and a contiguous copy can take different BLAS
-# paths. A backward writes only into arrays it made or saved itself, never
-# into its incoming gradient or an input's data; it may consume its saved
-# arrays, because the tape replays each record once.
+# Each is one tape record standing for a chain of plain ops (composed in
+# ``tests/unfused.py``), and each is bitwise equal to that chain, forward and
+# backward: it evaluates the same expressions in the same order, only in place
+# (``out=`` and augmented ufuncs) and without the per-op records. Where an
+# unfused op multiplied or added in the other operand order, the fused one
+# relies on IEEE ``*`` and ``+`` being commutative. Matrix products keep the
+# unfused operand layouts, since a transposed view and a contiguous copy can
+# take different BLAS paths. A backward writes only into arrays it made or
+# saved itself, never into its incoming gradient or an input's data; it may
+# consume its saved arrays, because the tape replays each record once.
 # ---------------------------------------------------------------------------
 
 def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int,
@@ -611,10 +507,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int,
     Returns the attended rows in q's shape. With ``return_weights`` also a
     copy of the softmax weights, shape (batch, heads, tokens, tokens).
 
-    Equal bit for bit to splitting heads, ``bmm(q, k^T)``, ``scale`` by
+    Equal bit for bit to splitting heads, ``bmm(q, k^T)``, ``mul`` by
     1/sqrt(d/heads), ``softmax``, ``bmm`` with v and merging heads.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(f"attention q, k, v shapes differ: {q.shape}, {k.shape}, {v.shape}")
     d = q.shape[-1]
@@ -663,7 +558,6 @@ def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Ten
 
     x and y receive one shared gradient array, as ``add`` hands them.
     """
-    x, y, gain, bias = as_tensor(x), as_tensor(y), as_tensor(gain), as_tensor(bias)
     if x.shape != y.shape:
         raise ShapeError(f"residual_layer_norm shapes differ: {x.shape} and {y.shape}")
     d = x.shape[-1]
@@ -705,7 +599,6 @@ def affine_gelu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     Saves ``tanh(u)``, ``0.5*h`` and ``h*h`` of the pre-activation h for
     the backward, and nothing else of the hidden width.
     """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     _check_affine(x, w, b)
     h = x.data @ w.data
     h += b.data

@@ -370,12 +370,13 @@ def train(
     Each step draws a batch without replacement, one fresh random crop per
     drawn image, and (in arbitrary mode) one ratio for the whole batch; all
     randomness comes from a single checkpointed stream, so training resumed
-    from a checkpoint continues bit-identically. A fresh run takes its
-    sampling matrix from ``csm`` when one is given. Returns both the final
-    state and the best-on-validation state (lowest validation MSE), whose
-    parameter arrays and history up to it ``best`` holds. A non-finite loss
-    raises ``NumericalDivergenceError`` before its update, and so does a
-    non-finite parameter after the last update, by name.
+    from a checkpoint continues bit-identically; a resumed run must be given
+    the config it was trained with. A fresh run takes its sampling matrix from
+    ``csm`` when one is given. Returns both the final state and the
+    best-on-validation state (lowest validation MSE), whose parameter arrays
+    and history up to it ``best`` holds. A non-finite loss raises
+    ``NumericalDivergenceError`` before its update, and so does a non-finite
+    parameter after the last update, by name.
     """
     settings = settings or TrainSettings()
     train_recs, _ = split_records(records, cfg.seed)
@@ -391,6 +392,12 @@ def train(
         history = resume.history
         if opt is None or rng is None:
             raise ContractError("checkpoint has no optimizer/RNG state to resume from")
+        saved, given = state.config.to_dict(), cfg.to_dict()
+        changed = [f"{k}={saved[k]!r} (given {given[k]!r})" for k in saved if saved[k] != given[k]]
+        if changed:
+            raise ContractError(f"resumed run was trained with {', '.join(changed)}")
+        if csm is not None:
+            raise ContractError("csm= is for a fresh run; a resumed run keeps its own matrix")
     else:
         state = init_model(cfg)
         opt = nm.AdamState()
@@ -626,9 +633,10 @@ def load_pretrained_csm(path):
     except (TypeError, ValueError) as e:  # ContractError is a ValueError
         raise CheckpointFormatError(f"{path}: invalid pretraining config: {e}") from None
     side = block_size * block_size
-    phi = _array_blob(blobs, "param/csm.phi", (side, side), path)
-    matrix = SamplingMatrix(nm.Tensor(phi, requires_grad=True), block_size)
+    params = _param_blobs(blobs, "param/", {"csm.phi": (side, side),
+                                            **{f"csnet.{n}": s for n, s in shapes.items()}}, path)
+    matrix = SamplingMatrix(params.pop("csm.phi"), block_size)
     rec = CsnetReconstructor(block_size, meta["ratio"], meta["width"],
-                             _param_blobs(blobs, "param/csnet.", shapes, path))
+                             {n.removeprefix("csnet."): t for n, t in params.items()})
     history = _json_blob(blobs, "meta/history", path) if "meta/history" in blobs else {}
     return matrix, rec, meta, history

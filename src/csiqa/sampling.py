@@ -341,7 +341,8 @@ def pretrain_csm(
             for t in params:
                 t.zero_grad()
             with nm.GradTape() as tape:
-                loss = nm.scale(_corpus_error(matrix, rec, corpus, ratio), 1.0 / len(corpus))
+                total = _corpus_error(matrix, rec, corpus, ratio)
+                loss = nm.mul(total, nm.Tensor(1.0 / len(corpus)))
             if not math.isfinite(loss.item()):
                 raise NumericalDivergenceError(
                     f"non-finite pretraining loss at epoch {epoch + 1}")

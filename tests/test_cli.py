@@ -6,12 +6,18 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from csiqa.checkpoint import read_checkpoint, write_checkpoint
+from csiqa.checkpoint import array_to_bytes, read_checkpoint, write_checkpoint
 from csiqa.cli import COMMANDS, SETTINGS, main
 from csiqa.data import generate_toy_dataset
-from csiqa.pipeline import ModelConfig, load_model, load_pretrained_csm, save_model
+from csiqa.pipeline import (
+    ModelConfig,
+    load_model,
+    load_pretrained_csm,
+    save_model,
+    save_pretrained_csm,
+)
 from csiqa.pnm import read_image
-from csiqa.sampling import random_sampling_matrix
+from csiqa.sampling import init_reconstructor, random_sampling_matrix
 
 from conftest import (
     OLD_CONFIG_KEYS,
@@ -148,6 +154,20 @@ class TestTrain:
                      "--csm", bad, "--out", str(tmp_path / "m.ckpt"), *TINY_TRAIN])
         assert code == 2
         assert "meta/config is not valid JSON" in capsys.readouterr().err
+
+    def test_csm_checkpoint_with_stray_param_exits_2(self, toyset, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        good, bad = tmp_path / "csm.ckpt", tmp_path / "bad.ckpt"
+        save_pretrained_csm(good, random_sampling_matrix(4, rng),
+                            init_reconstructor(4, 0.25, rng, width=4), 0.25, [])
+        write_checkpoint(bad, [*read_checkpoint(good),
+                               ("param/stray", array_to_bytes(np.zeros(2)))])
+        out = tmp_path / "m.ckpt"
+        code = main(["train", "--manifest", toyset["manifest"], "--ratio", "0.25",
+                     "--csm", str(bad), "--out", str(out), *TINY_TRAIN])
+        err = capsys.readouterr().err
+        assert code == 2 and "param/stray" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_arbitrary_ratio_mode(self, toyset, tmp_path):
         out = str(tmp_path / "mr.ckpt")

@@ -7,6 +7,7 @@ from csiqa import sampling as sp
 from csiqa.errors import ContractError
 
 from conftest import central_diff_grads, max_rel_err
+from unfused import sum_all
 
 
 def make_meas(values, block_size=4, ratio=None):
@@ -111,12 +112,12 @@ class TestBypass:
 
         def loss_bypass():
             tokens = em.bypass_embed(sp.sample(matrix, img, 0.5), d)
-            return nm.sum_all(nm.mul(tokens, tokens))
+            return sum_all(nm.mul(tokens, tokens))
 
         def loss_projection():
             meas = sp.sample(matrix, img, 0.5)
             tokens = nm.matmul(meas.values, nm.Tensor(proj[:2]))
-            return nm.sum_all(nm.mul(tokens, tokens))
+            return sum_all(nm.mul(tokens, tokens))
 
         with nm.GradTape() as tape:
             loss = loss_bypass()

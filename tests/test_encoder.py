@@ -9,6 +9,7 @@ from csiqa.errors import ContractError
 from csiqa.sampling import BlockGrid
 
 from conftest import central_diff_grads, max_rel_err
+from unfused import sum_all
 
 
 def arrs(params):
@@ -129,7 +130,7 @@ class TestEncode:
         readout = nm.Tensor(rng.normal(size=(4, 8)))
 
         def fwd():
-            return nm.sum_all(nm.mul(enc.encode(x0, enc.ParamGroup(params), 2, 2), readout))
+            return sum_all(nm.mul(enc.encode(x0, enc.ParamGroup(params), 2, 2), readout))
 
         with nm.GradTape() as tape:
             loss = fwd()
@@ -242,7 +243,7 @@ class TestWindowRefine:
         def fwd():
             out = enc.window_refine(nm.Tensor(x), grid, enc.ParamGroup(params), heads, 2,
                                     enc.CONV_SCALE)
-            return nm.sum_all(nm.mul(out, readout))
+            return sum_all(nm.mul(out, readout))
 
         with nm.GradTape() as tape:
             loss = fwd()

@@ -49,7 +49,7 @@ def value_and_grads(fn, inputs, readout):
         t.zero_grad()
     with nm.GradTape() as tape:
         out = fn(*inputs)
-        loss = nm.sum_all(nm.mul(out, nm.Tensor(readout)))
+        loss = unfused.sum_all(nm.mul(out, nm.Tensor(readout)))
     tape.backward(loss)
     return [out.data] + [t.grad for t in inputs]
 
@@ -91,7 +91,7 @@ def test_attention_weights_are_a_copy_of_the_saved_softmax(rng):
     q, k, v = make_inputs(rng, [(2, 5, 6)] * 3)
     with nm.GradTape() as tape:
         out, weights = nm.attention(q, k, v, 2, 3, return_weights=True)
-        loss = nm.sum_all(out)
+        loss = unfused.sum_all(out)
     _, ref = unfused.attention(q, k, v, 2, 3, return_weights=True)
     assert np.array_equal(weights, ref)
     assert weights.shape == (2, 3, 5, 5)

@@ -13,7 +13,7 @@ from csiqa import sampling as sp
 from csiqa.gridops import conv3x3, window_permutation
 from csiqa.sampling import BlockGrid
 
-from unfused import batched_attention, merge_heads, split_heads
+from unfused import batched_attention, merge_heads, split_heads, sum_all
 
 
 def conv3x3_index(height, width, batch):
@@ -55,7 +55,7 @@ def value_and_grads(fn, inputs, readout):
         t.zero_grad()
     with nm.GradTape() as tape:
         out = fn()
-        loss = nm.sum_all(nm.mul(out, nm.Tensor(readout)))
+        loss = sum_all(nm.mul(out, nm.Tensor(readout)))
     tape.backward(loss)
     return [out.data] + [t.grad for t in inputs]
 

@@ -9,10 +9,7 @@ from csiqa.errors import ContractError, ShapeError
 from csiqa.gridops import conv3x3
 
 from conftest import central_diff_grads, max_rel_err
-
-
-def scalar_loss(t):
-    return nm.sum_all(t)
+from unfused import gelu, layer_norm, softmax, sum_all
 
 
 class TestMatmul:
@@ -35,9 +32,9 @@ class TestMatmul:
         a = nm.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         b = nm.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         with nm.GradTape() as tape:
-            loss = nm.sum_all(nm.matmul(a, b))
+            loss = sum_all(nm.matmul(a, b))
         tape.backward(loss)
-        fd = central_diff_grads(lambda: nm.sum_all(nm.matmul(a, b)).item(), [a, b])
+        fd = central_diff_grads(lambda: sum_all(nm.matmul(a, b)).item(), [a, b])
         assert max_rel_err(a.grad, fd[0]) <= 1e-6
         assert max_rel_err(b.grad, fd[1]) <= 1e-6
 
@@ -49,7 +46,7 @@ class TestMatmul:
         assert np.max(np.abs(nm.matmul(a, b).data - rows)) <= 1e-12
 
         def fwd():
-            return nm.sum_all(nm.mul(nm.matmul(a, b), readout))
+            return sum_all(nm.mul(nm.matmul(a, b), readout))
 
         with nm.GradTape() as tape:
             loss = fwd()
@@ -65,74 +62,77 @@ class TestMatmul:
             nm.matmul(nm.Tensor(np.ones((2, 3))), nm.Tensor(np.ones(3)))
 
 
+# softmax, layer_norm, gelu and sum_all are the reference ops of
+# tests/unfused.py, which no model path calls; the fused kernels' bitwise
+# tests lean on them, so they keep their own checks here.
 class TestSoftmax:
     def test_symmetry(self):
-        out = nm.softmax(nm.Tensor([0.0, 0.0, 0.0]))
+        out = softmax(nm.Tensor([0.0, 0.0, 0.0]))
         assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
 
     def test_large_inputs_no_overflow(self):
-        out = nm.softmax(nm.Tensor([1000.0, 1000.0]))
+        out = softmax(nm.Tensor([1000.0, 1000.0]))
         assert np.allclose(out.data, [0.5, 0.5], atol=1e-15)
 
     def test_matches_direct_formula(self):
         x = np.array([1.0, 2.0, 3.0])
         expected = np.exp(x) / np.exp(x).sum()
-        out = nm.softmax(nm.Tensor(x))
+        out = softmax(nm.Tensor(x))
         assert np.max(np.abs(out.data - expected)) <= 1e-12
 
     def test_rows_sum_to_one(self, rng):
         for shape in [(7,), (3, 5), (2, 4, 6)]:
             x = rng.normal(scale=50.0, size=shape)
-            out = nm.softmax(nm.Tensor(x), axis=-1)
+            out = softmax(nm.Tensor(x), axis=-1)
             sums = out.data.sum(axis=-1)
             assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
     def test_invalid_axis(self):
         with pytest.raises(ShapeError):
-            nm.softmax(nm.Tensor([1.0, 2.0]), axis=5)
+            softmax(nm.Tensor([1.0, 2.0]), axis=5)
 
 
 class TestLayerNorm:
     def test_constant_vector_maps_to_zero(self):
         x = nm.Tensor(np.full((4,), 3.7))
-        out = nm.layer_norm(x, nm.Tensor(np.ones(4)), nm.Tensor(np.zeros(4)), eps=1e-8)
+        out = layer_norm(x, nm.Tensor(np.ones(4)), nm.Tensor(np.zeros(4)), eps=1e-8)
         assert np.max(np.abs(out.data)) <= 1e-12
 
     def test_two_point_normalization(self):
-        out = nm.layer_norm(
+        out = layer_norm(
             nm.Tensor([1.0, 3.0]), nm.Tensor([1.0, 1.0]), nm.Tensor([0.0, 0.0]), eps=0.0)
         assert np.allclose(out.data, [-1.0, 1.0], atol=1e-15)
 
     def test_output_moments(self, rng):
         x = nm.Tensor(rng.normal(size=(24,)))
-        out = nm.layer_norm(x, nm.Tensor(np.ones(24)), nm.Tensor(np.zeros(24)))
+        out = layer_norm(x, nm.Tensor(np.ones(24)), nm.Tensor(np.zeros(24)))
         assert abs(out.data.mean()) <= 1e-12
         assert abs(out.data.var() - 1.0) <= 1e-6
 
     def test_bad_gain_shape(self):
         with pytest.raises(ShapeError):
-            nm.layer_norm(nm.Tensor(np.ones((2, 4))), nm.Tensor(np.ones(3)), nm.Tensor(np.zeros(4)))
+            layer_norm(nm.Tensor(np.ones((2, 4))), nm.Tensor(np.ones(3)), nm.Tensor(np.zeros(4)))
 
 
 class TestGelu:
     def test_zero(self):
-        assert nm.gelu(nm.Tensor([0.0])).data[0] == 0.0
+        assert gelu(nm.Tensor([0.0])).data[0] == 0.0
 
     def test_asymptote(self):
         x = 25.0
-        assert abs(nm.gelu(nm.Tensor([x])).data[0] - x) <= 1e-12
+        assert abs(gelu(nm.Tensor([x])).data[0] - x) <= 1e-12
 
     def test_matches_tanh_formula_at_one(self):
         u = math.sqrt(2.0 / math.pi) * (1.0 + 0.044715)
         expected = 0.5 * (1.0 + math.tanh(u))
-        assert abs(nm.gelu(nm.Tensor([1.0])).data[0] - expected) <= 1e-12
+        assert abs(gelu(nm.Tensor([1.0])).data[0] - expected) <= 1e-12
 
 
 class TestBackward:
     def test_quadratic(self):
         w = nm.Tensor([1.0, 2.0], requires_grad=True)
         with nm.GradTape() as tape:
-            loss = nm.sum_all(nm.mul(w, w))
+            loss = sum_all(nm.mul(w, w))
         tape.backward(loss)
         assert np.allclose(w.grad, [2.0, 4.0], atol=1e-15)
 
@@ -140,7 +140,7 @@ class TestBackward:
         w = nm.Tensor([1.0], requires_grad=True)
         p = nm.Tensor([5.0], requires_grad=True)
         with nm.GradTape() as tape:
-            loss = nm.sum_all(nm.mul(w, w))
+            loss = sum_all(nm.mul(w, w))
         tape.backward(loss)
         assert p.grad is None  # reads as zero
 
@@ -157,8 +157,8 @@ class TestBackward:
         gc.disable()
         try:
             with nm.GradTape() as tape:
-                y = nm.softmax(nm.matmul(w, w))
-                loss = nm.sum_all(nm.mul(y, y))
+                y = softmax(nm.matmul(w, w))
+                loss = sum_all(nm.mul(y, y))
             tape.backward(loss)
             del tape, loss, y
             assert gc.collect() == 0
@@ -169,7 +169,7 @@ class TestBackward:
     def test_tape_is_single_use(self):
         w = nm.Tensor([1.0, 2.0], requires_grad=True)
         with nm.GradTape() as tape:
-            loss = nm.sum_all(nm.mul(w, w))
+            loss = sum_all(nm.mul(w, w))
         tape.backward(loss)
         with pytest.raises(ContractError):
             tape.backward(loss)
@@ -177,12 +177,12 @@ class TestBackward:
 
     def test_shared_first_gradient_is_not_added_into(self):
         # add hands one gradient array to both inputs; a's later gradient
-        # (from the scale) must not leak into b's
+        # (from the mul by a constant) must not leak into b's
         a = nm.Tensor([1.0], requires_grad=True)
         b = nm.Tensor([1.0], requires_grad=True)
         with nm.GradTape() as tape:
-            tripled = nm.scale(a, 3.0)
-            loss = nm.add(nm.sum_all(nm.add(a, b)), nm.sum_all(tripled))
+            tripled = nm.mul(a, nm.Tensor(3.0))
+            loss = nm.add(sum_all(nm.add(a, b)), sum_all(tripled))
         tape.backward(loss)
         assert a.grad.tolist() == [4.0] and b.grad.tolist() == [1.0]
 
@@ -193,7 +193,7 @@ class TestBackward:
             w = nm.Tensor(data, requires_grad=True)
             with nm.GradTape() as tape:
                 y = nm.matmul(w, w)
-                loss = nm.sum_all(nm.mul(nm.softmax(y), y))
+                loss = sum_all(nm.mul(softmax(y), y))
             tape.backward(loss)
             return w.grad.copy()
 
@@ -205,7 +205,7 @@ class TestBackward:
         with nm.GradTape() as tape:
             a = nm.mul(w, w)
             b = nm.add(a, w)
-            loss = nm.sum_all(b)
+            loss = sum_all(b)
         order = [id(rec[0]) for rec in tape._records]
         visited = []
         original = list(tape._records)
@@ -228,7 +228,7 @@ class TestStructuralOps:
         x = nm.Tensor(np.ones((3, 2)), requires_grad=True)
         with nm.GradTape() as tape:
             out = nm.gather_rows(x, np.array([0, 0, -1, 2]))
-            loss = nm.sum_all(out)
+            loss = sum_all(out)
         tape.backward(loss)
         assert np.array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
@@ -271,7 +271,7 @@ class TestStructuralOps:
         x = nm.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         with nm.GradTape() as tape:
             y = nm.permute(nm.reshape(x, (6, 4)), (1, 0))
-            loss = nm.sum_all(nm.mul(y, y))
+            loss = sum_all(nm.mul(y, y))
         tape.backward(loss)
         assert np.allclose(x.grad, 2.0 * x.data, atol=1e-15)
 
@@ -290,43 +290,43 @@ def test_gradients_match_finite_differences(op_name, rng):
             a = nm.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
             b = nm.Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
             params = [a, b]
-            fwd = lambda: nm.sum_all(nm.sigmoid(nm.bmm(a, b)))
+            fwd = lambda: sum_all(nm.sigmoid(nm.bmm(a, b)))
         elif op_name == "affine":
             x = nm.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
             w = nm.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
             bias = nm.Tensor(rng.normal(size=(5,)), requires_grad=True)
             params = [x, w, bias]
-            fwd = lambda: nm.sum_all(nm.gelu(nm.affine(x, w, bias)))
+            fwd = lambda: sum_all(gelu(nm.affine(x, w, bias)))
         elif op_name == "gather":
             x = nm.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
             idx = np.array([4, -1, 2, 2, 0])
             params = [x]
-            fwd = lambda: nm.sum_all(nm.sigmoid(nm.gather_rows(x, idx)))
+            fwd = lambda: sum_all(nm.sigmoid(nm.gather_rows(x, idx)))
         elif op_name == "permute_rows":
             x = nm.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
             order = rng.permutation(5)
             inverse = np.argsort(order)
             params = [x]
-            fwd = lambda: nm.sum_all(nm.sigmoid(nm.permute_rows(x, order, inverse)))
+            fwd = lambda: sum_all(nm.sigmoid(nm.permute_rows(x, order, inverse)))
         elif op_name == "conv3x3":
             x = nm.Tensor(rng.normal(size=(2 * 3 * 4, 2)), requires_grad=True)
             w = nm.Tensor(rng.normal(size=(9 * 2, 3)), requires_grad=True)
             bias = nm.Tensor(rng.normal(size=(3,)), requires_grad=True)
             params = [x, w, bias]
-            fwd = lambda: nm.sum_all(nm.sigmoid(conv3x3(x, 3, 4, w, bias)))
+            fwd = lambda: sum_all(nm.sigmoid(conv3x3(x, 3, 4, w, bias)))
         elif op_name == "attention":
             # two groups of three tokens, two heads of width 2
             params = [nm.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
                       for _ in range(3)]
-            fwd = lambda: nm.sum_all(nm.sigmoid(nm.attention(*params, 2, 2)))
+            fwd = lambda: sum_all(nm.sigmoid(nm.attention(*params, 2, 2)))
         elif op_name == "residual_layer_norm":
             params = [nm.Tensor(rng.normal(size=s), requires_grad=True)
                       for s in ((3, 4), (3, 4), (4,), (4,))]
-            fwd = lambda: nm.sum_all(nm.sigmoid(nm.residual_layer_norm(*params)))
+            fwd = lambda: sum_all(nm.sigmoid(nm.residual_layer_norm(*params)))
         elif op_name == "affine_gelu":
             params = [nm.Tensor(rng.normal(size=s), requires_grad=True)
                       for s in ((2, 2, 3), (3, 5), (5,))]
-            fwd = lambda: nm.sum_all(nm.sigmoid(nm.affine_gelu(*params)))
+            fwd = lambda: sum_all(nm.sigmoid(nm.affine_gelu(*params)))
         else:
             shape = shapes[trial]
             x = nm.Tensor(rng.normal(size=shape), requires_grad=True)
@@ -335,18 +335,18 @@ def test_gradients_match_finite_differences(op_name, rng):
                 other = nm.Tensor(rng.normal(size=shape) + 3.0, requires_grad=True)
                 params.append(other)
                 op = getattr(nm, op_name)
-                fwd = lambda: nm.sum_all(nm.sigmoid(op(x, other)))
+                fwd = lambda: sum_all(nm.sigmoid(op(x, other)))
             elif op_name == "layer_norm":
                 d = shape[-1]
                 gain = nm.Tensor(rng.normal(size=(d,)), requires_grad=True)
                 bias = nm.Tensor(rng.normal(size=(d,)), requires_grad=True)
                 params += [gain, bias]
-                fwd = lambda: nm.sum_all(nm.sigmoid(nm.layer_norm(x, gain, bias)))
+                fwd = lambda: sum_all(nm.sigmoid(layer_norm(x, gain, bias)))
             elif op_name == "softmax":
-                fwd = lambda: nm.sum_all(nm.mul(nm.softmax(x, axis=-1), x))
+                fwd = lambda: sum_all(nm.mul(softmax(x, axis=-1), x))
             else:
-                op = getattr(nm, op_name)
-                fwd = lambda: nm.sum_all(op(x))
+                op = gelu if op_name == "gelu" else getattr(nm, op_name)
+                fwd = lambda: sum_all(op(x))
 
         with nm.GradTape() as tape:
             loss = fwd()

@@ -1,6 +1,7 @@
 import json
 import platform
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ def per_crop_loss(state, crops, targets, ratio):
         pooled, _ = pl.forward(img, state, ratio)
         diff = nm.sub(pooled, nm.Tensor(float(mos)))
         total = nm.add(total, nm.mul(diff, diff))
-    return nm.scale(total, 1.0 / len(crops))
+    return nm.mul(total, nm.Tensor(1.0 / len(crops)))
 
 
 def loss_and_grads(state, loss_fn):
@@ -339,6 +340,28 @@ class TestPersistence:
             assert np.array_equal(resumed.state.params[name].data,
                                   straight.state.params[name].data), name
 
+    @pytest.mark.parametrize("change", [{"crop_size": 8}, {"seed": 4}], ids=["crop", "seed"])
+    def test_resume_under_another_config_is_contract_error(self, tiny_manifest, change):
+        # a crop-16 model would otherwise train on crop-8 crops through a
+        # sliced positional table, or split the manifest by another seed
+        cfg = pl.ModelConfig(**{**TINY, "crop_size": 16}, seed=3)
+        first = pl.train(tiny_manifest, cfg,
+                         pl.TrainSettings(batch=4, lr=1e-3, steps=1, val_every=0))
+        resume = pl.LoadedCheckpoint(first.state, first.optimizer, first.rng, first.history)
+        (field,) = change
+        with pytest.raises(ContractError, match=f"{field}="):
+            pl.train(tiny_manifest, replace(cfg, **change),
+                     pl.TrainSettings(batch=4, lr=1e-3, steps=2, val_every=0), resume=resume)
+
+    def test_resume_with_csm_is_contract_error(self, tiny_manifest, csm_checkpoint):
+        cfg = pl.ModelConfig(**TINY, seed=3)
+        first = pl.train(tiny_manifest, cfg,
+                         pl.TrainSettings(batch=4, lr=1e-3, steps=1, val_every=0))
+        resume = pl.LoadedCheckpoint(first.state, first.optimizer, first.rng, first.history)
+        with pytest.raises(ContractError, match="csm="):
+            pl.train(tiny_manifest, cfg, pl.TrainSettings(batch=4, lr=1e-3, steps=2, val_every=0),
+                     resume=resume, csm=pl.load_pretrained_csm(csm_checkpoint)[0])
+
     @pytest.mark.parametrize("config_blob,message", [
         (b'{"kind":"model","config":{', "not valid JSON"),
         (b'{"kind":"model","config":{"variant":"cl-iqa"}}', "missing keys"),
@@ -499,6 +522,15 @@ class TestPersistence:
         bad = tmp_path / "bad.ckpt"
         self._rewrite(csm_checkpoint, bad, edit)
         with pytest.raises(CheckpointFormatError, match=message):
+            pl.load_pretrained_csm(bad)
+
+    def test_stray_param_blob_in_csm_checkpoint_is_format_error(self, tmp_path,
+                                                                 csm_checkpoint):
+        bad = tmp_path / "bad.ckpt"
+        write_checkpoint(bad, [*read_checkpoint(csm_checkpoint),
+                               ("param/stray", array_to_bytes(np.zeros(2)))])
+        with pytest.raises(CheckpointFormatError,
+                           match=r"unexpected parameter blobs \['param/stray'\]"):
             pl.load_pretrained_csm(bad)
 
     def test_renamed_csm_param_is_format_error(self, tmp_path, csm_checkpoint):

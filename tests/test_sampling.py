@@ -6,6 +6,7 @@ from csiqa import sampling as sp
 from csiqa.errors import ContractError, NumericalDivergenceError, ShapeError
 
 from conftest import central_diff_grads, max_rel_err
+from unfused import sum_all
 
 
 def merge_blocks(blocks, grid):
@@ -130,7 +131,7 @@ class TestSample:
 
         def loss_fn():
             meas = sp.sample(m, img, 0.5)
-            return nm.sum_all(nm.mul(meas.values, meas.values))
+            return sum_all(nm.mul(meas.values, meas.values))
 
         with nm.GradTape() as tape:
             loss = loss_fn()
@@ -274,7 +275,7 @@ def reference_pretrain(corpus, ratio, epochs, lr, block_size, width, seed):
                 recon = sp.csnet_reconstruct(rec, sp.sample(matrix, im, ratio))
                 diff = nm.sub(recon, nm.Tensor(target))
                 total = nm.add(total, nm.mean_all(nm.mul(diff, diff)))
-            loss = nm.scale(total, 1.0 / len(corpus))
+            loss = nm.mul(total, nm.Tensor(1.0 / len(corpus)))
         losses.append(loss.item())
         tape.backward(loss)
         nm.adam_step(params, [t.grad for t in params], state, lr=lr)
