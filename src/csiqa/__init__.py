@@ -39,7 +39,6 @@ from .sampling import (
     sample,
     sample_conv,
     split_blocks,
-    truncate,
 )
 
 __version__ = "0.1.0"

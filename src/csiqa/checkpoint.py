@@ -33,10 +33,10 @@ MAGIC = b"CSIQ"
 VERSION = 1
 
 
-def write_checkpoint(path, blobs: list[tuple[str, bytes]], version: int = VERSION) -> None:
+def write_checkpoint(path, blobs: list[tuple[str, bytes]]) -> None:
     out = bytearray()
     out += MAGIC
-    out += struct.pack("<I", version)
+    out += struct.pack("<I", VERSION)
     out += struct.pack("<I", len(blobs))
     for name, payload in blobs:
         encoded = name.encode("utf-8")
@@ -49,15 +49,14 @@ def write_checkpoint(path, blobs: list[tuple[str, bytes]], version: int = VERSIO
         fh.write(bytes(out))
 
 
-def read_checkpoint(path, expect_version: int = VERSION) -> list[tuple[str, bytes]]:
+def read_checkpoint(path) -> list[tuple[str, bytes]]:
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 16 or data[:4] != MAGIC:
         raise CheckpointFormatError(f"{path}: not a checkpoint (bad magic or too short)")
     (version,) = struct.unpack_from("<I", data, 4)
-    if version != expect_version:
-        raise CheckpointVersionError(
-            f"{path}: format version {version}, expected {expect_version}")
+    if version != VERSION:
+        raise CheckpointVersionError(f"{path}: format version {version}, expected {VERSION}")
     stored_crc = struct.unpack_from("<I", data, len(data) - 4)[0]
     actual_crc = zlib.crc32(data[:-4])
     (count,) = struct.unpack_from("<I", data, 8)

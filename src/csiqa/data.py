@@ -85,12 +85,12 @@ def write_manifest(path, records: list[ManifestRecord]) -> None:
 
 
 def split_records(
-    records: list[ManifestRecord], seed: int, train_fraction: float = 0.8
+    records: list[ManifestRecord], seed: int
 ) -> tuple[list[ManifestRecord], list[ManifestRecord]]:
     """Seeded disjoint train/test split, 8:2 by count (within one)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     order = rng.permutation(len(records))
-    n_train = int(round(train_fraction * len(records)))
+    n_train = int(round(0.8 * len(records)))
     n_train = min(max(n_train, 1), len(records) - 1) if len(records) > 1 else len(records)
     train_idx = sorted(order[:n_train])
     test_idx = sorted(order[n_train:])
@@ -98,14 +98,14 @@ def split_records(
 
 
 def carve_validation(
-    train: list[ManifestRecord], seed: int, fraction: float = 0.1
+    train: list[ManifestRecord], seed: int
 ) -> tuple[list[ManifestRecord], list[ManifestRecord]]:
-    """Split off a seeded validation subset (at least one record if possible)."""
+    """Split off a seeded tenth for validation (at least one record if possible)."""
     if len(train) < 2:
         return train, []
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     order = rng.permutation(len(train))
-    n_val = max(1, int(round(fraction * len(train))))
+    n_val = max(1, int(round(0.1 * len(train))))
     val_idx = sorted(order[:n_val])
     keep_idx = sorted(order[n_val:])
     return [train[i] for i in keep_idx], [train[i] for i in val_idx]

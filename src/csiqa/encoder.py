@@ -22,7 +22,7 @@ import math
 from collections.abc import Mapping
 
 from . import numerics as nm
-from .errors import ContractError, ShapeError
+from .errors import ShapeError
 from .gridops import conv3x3, window_permutation
 from .sampling import BlockGrid
 
@@ -122,8 +122,6 @@ def msa(x: nm.Tensor, p: Mapping[str, nm.Tensor], heads: int, return_weights: bo
     or (N, heads, L, L).
     """
     *lead, n, d = x.shape
-    if d % heads:
-        raise ContractError(f"token width {d} not divisible by {heads} heads")
     attended = nm.attention(*_project_qkv(x, p), math.prod(lead), heads, return_weights)
     if return_weights:
         attended, weights = attended
@@ -152,8 +150,6 @@ def window_msa(
     n, d = x.shape
     if n % grid.num_blocks:
         raise ShapeError(f"{n} tokens do not fill whole {grid.blocks_h}x{grid.blocks_w} grids")
-    if d % heads:
-        raise ContractError(f"token width {d} not divisible by {heads} heads")
     order, inverse = window_permutation(
         grid.blocks_h, grid.blocks_w, window, shift, n // grid.num_blocks)
     xw = nm.permute_rows(x, order, inverse)
@@ -204,14 +200,13 @@ def window_refine(
     params: ParamGroup,
     heads: int,
     window: int,
-    conv_scale: float,
 ) -> nm.Tensor:
     """Window-attention layers then a scaled 3x3 conv residual over the grid.
 
     ``x`` is (L, d) or (N, L, d) and the result has its shape. Layer i uses
     a cyclic shift of floor(w/2) on odd i, none on even i. The output is
-    conv_scale * Conv3x3(tokens) + tokens, with the learnable ``conv.alpha``
-    in place of conv_scale when the parameters hold one.
+    CONV_SCALE * Conv3x3(tokens) + tokens, with the learnable ``conv.alpha``
+    in place of CONV_SCALE when the parameters hold one.
     """
     shape = x.shape
     x = nm.reshape(x, (x.size // shape[-1], shape[-1]))
@@ -219,5 +214,5 @@ def window_refine(
         shift = (window // 2) if i % 2 else 0
         x = window_block(x, grid, params.group(f"stl{i}"), heads, window, shift)
     conv_out = conv3x3(x, grid.blocks_h, grid.blocks_w, params["conv.w"], params["conv.b"])
-    alpha = params["conv.alpha"] if "conv.alpha" in params else nm.Tensor(conv_scale)
+    alpha = params["conv.alpha"] if "conv.alpha" in params else nm.Tensor(CONV_SCALE)
     return nm.reshape(nm.add(nm.mul(conv_out, alpha), x), shape)

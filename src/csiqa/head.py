@@ -52,7 +52,7 @@ def aggregate(scores: nm.Tensor, weights: nm.Tensor, eps: float = DENOMINATOR_EP
 
 
 def score(
-    tokens: nm.Tensor, params: Mapping[str, nm.Tensor], eps: float = DENOMINATOR_EPS
+    tokens: nm.Tensor, params: Mapping[str, nm.Tensor]
 ) -> tuple[nm.Tensor, np.ndarray, np.ndarray]:
     """Pool token features into one quality score per sample.
 
@@ -61,11 +61,9 @@ def score(
     returns the per-token score and weight values, shape (L,) or (N, L)
     (detached copies), for inspection and weight-map rendering.
     """
-    if tokens.shape[-2] < 1:
-        raise ContractError("need at least one token to score")
     s = _branch(tokens, params, "score")
     w = nm.sigmoid(_branch(tokens, params, "weight"))
-    pooled = aggregate(s, w, eps)
+    pooled = aggregate(s, w)
     per_token = tokens.shape[:-1]
     return pooled, s.data.reshape(per_token).copy(), w.data.reshape(per_token).copy()
 

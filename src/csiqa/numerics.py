@@ -16,7 +16,9 @@ constant factor is ``mul`` by a ``Tensor``), plus ``bmm`` and
 ``gather_rows``, which ``perfbench/tracer.py`` still wraps. The encoder's
 hot path uses three fused kernels (``attention``, ``residual_layer_norm``,
 ``affine_gelu``), one tape record each, bitwise equal to the chains of
-plain ops that ``tests/unfused.py`` composes as their reference.
+plain ops that ``tests/unfused.py`` composes as their reference. Both
+trainers take their optimizer steps through ``descend`` (one tape, the
+divergence check, ``adam_step``) and end with ``check_finite``.
 """
 
 from __future__ import annotations
@@ -27,15 +29,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericalDivergenceError, ShapeError
 
 
 def _pad_heap_top() -> None:
     # Each op frees temporaries of a few hundred KB; glibc then trims the
     # heap top and the next op faults the same pages back in (about 7,600
     # minor faults, ~30 MB, per desk training step). Keeping 64 MB of slack
-    # above the top, sized from that working set, stops the trim. Skipped
-    # where there is no glibc mallopt.
+    # above the top, sized from that working set, stops the trim. Setting
+    # M_TOP_PAD also freezes glibc's mmap threshold (128 KB by default), so
+    # the pad only keeps pages once the heap has grown past the temporaries;
+    # until then a large one is mmapped and faulted in afresh. No benchmark
+    # workload shows those faults. Skipped where there is no glibc mallopt.
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
@@ -49,6 +54,8 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
 # Variance floor of residual_layer_norm; keeps constant rows finite.
 _LN_EPS = 1e-8
+# Adam's moment decays and denominator floor: Kingma & Ba's (arXiv:1412.6980).
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Stack of currently recording tapes (innermost last). Single-writer.
 _ACTIVE_TAPES: list["GradTape"] = []
@@ -660,11 +667,8 @@ def adam_step(
     grads: Sequence[np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
-) -> tuple[Sequence[Tensor], AdamState]:
+) -> None:
     """One Adam update with bias correction, applied in place.
 
     Weight decay is coupled L2 (classic Adam): ``weight_decay * p`` is added
@@ -675,30 +679,57 @@ def adam_step(
     state.ensure(params)
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - _ADAM_BETA1**t
+    bc2 = 1.0 - _ADAM_BETA2**t
     for i, (p, g) in enumerate(zip(params, grads)):
         g = np.zeros_like(p.data) if g is None else np.asarray(g, dtype=np.float64)
         if g.shape != p.data.shape:
             raise ShapeError(f"gradient {g.shape} does not match parameter {p.shape}")
         if weight_decay != 0.0:
             g = g + weight_decay * p.data
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * (g * g)
+        state.m[i] = _ADAM_BETA1 * state.m[i] + (1.0 - _ADAM_BETA1) * g
+        state.v[i] = _ADAM_BETA2 * state.v[i] + (1.0 - _ADAM_BETA2) * (g * g)
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return params, state
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+
+
+def descend(params: dict[str, Tensor], loss_of, state: AdamState, lr: float,
+            weight_decay: float, where: str) -> float:
+    """One optimizer step: record ``loss_of()`` on a fresh tape, replay it
+    and update ``params`` by ``adam_step``; returns the loss.
+
+    A non-finite loss raises ``NumericalDivergenceError`` naming ``where``
+    before any update, so the parameters stay those of the step before.
+    """
+    for p in params.values():
+        p.zero_grad()
+    with GradTape() as tape:
+        loss = loss_of()
+    value = loss.item()
+    if not math.isfinite(value):
+        raise NumericalDivergenceError(f"non-finite loss at {where}")
+    tape.backward(loss)
+    tensors = list(params.values())
+    adam_step(tensors, [p.grad for p in tensors], state, lr, weight_decay)
+    return value
+
+
+def check_finite(params: dict[str, Tensor], where: str) -> None:
+    """Raise ``NumericalDivergenceError`` naming the first non-finite parameter."""
+    for name, p in params.items():
+        if not np.isfinite(p.data).all():
+            raise NumericalDivergenceError(f"parameter {name} is non-finite after {where}")
 
 
 # ---------------------------------------------------------------------------
 # Initialization helpers
 # ---------------------------------------------------------------------------
 
-def trunc_normal(rng: np.random.Generator, shape, std: float, clip: float = 2.0) -> np.ndarray:
-    """Normal(0, std) resampled until every draw lies within ``clip`` sigmas."""
+def trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
+    """Normal(0, std) resampled until every draw lies within two sigmas."""
     out = rng.normal(0.0, std, size=shape)
-    bound = clip * std
+    bound = 2.0 * std
     bad = np.abs(out) > bound
     while bad.any():
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))

@@ -162,13 +162,6 @@ class ModelState:
         ``refine0`` prefix."""
         return ParamGroup(self.params, name + ".")
 
-    def parameters(self) -> list[nm.Tensor]:
-        return list(self.params.values())
-
-    def zero_grads(self) -> None:
-        for t in self.params.values():
-            t.zero_grad()
-
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter's name and shape, in the serialization and draw order."""
@@ -230,7 +223,7 @@ def forward(imgs: np.ndarray, state: ModelState, ratio: float | None = None):
     tokens = nm.reshape(tokens, (meas.batch, meas.grid.num_blocks, cfg.embed_dim))
     x = add_position(tokens, state.params["aem.pos"])
     x = encode(x, state.group("enc"), cfg.depth, cfg.heads)
-    x = window_refine(x, meas.grid, state.group("refine0"), cfg.heads, cfg.window, CONV_SCALE)
+    x = window_refine(x, meas.grid, state.group("refine0"), cfg.heads, cfg.window)
     pooled, token_scores, token_weights = head_score(x, state.group("head"))
     diag = {
         "ratio": float(ratio),
@@ -392,6 +385,8 @@ def train(
         history = resume.history
         if opt is None or rng is None:
             raise ContractError("checkpoint has no optimizer/RNG state to resume from")
+        if not all(isinstance(history.get(k), list) for k in ("loss", "val")):
+            raise ContractError("checkpoint has no loss and validation history to resume from")
         saved, given = state.config.to_dict(), cfg.to_dict()
         changed = [f"{k}={saved[k]!r} (given {given[k]!r})" for k in saved if saved[k] != given[k]]
         if changed:
@@ -410,7 +405,6 @@ def train(
                     f"model uses {cfg.block_size}")
             state.params["csm.phi"].data[...] = csm.matrix.data
 
-    params = state.parameters()
     steps_per_epoch = max(1, math.ceil(len(train_recs) / settings.batch))
     val_every = settings.val_every
     if val_every is None:
@@ -433,18 +427,13 @@ def train(
             ratio = cfg.ratio
         crops = np.stack([random_crop(train_imgs[i], cfg.crop_size, rng) for i in batch])
         mos = nm.Tensor([targets[i] for i in batch])
-        state.zero_grads()
-        with nm.GradTape() as tape:
-            scores, _ = forward(crops, state, ratio)
-            diff = nm.sub(scores, mos)
-            loss = nm.mean_all(nm.mul(diff, diff))
-        value = loss.item()
-        if not math.isfinite(value):
-            raise NumericalDivergenceError(f"non-finite loss at step {step + 1}")
-        tape.backward(loss)
-        nm.adam_step(params, [p.grad for p in params], opt,
-                     lr=settings.lr, weight_decay=settings.weight_decay)
-        history["loss"].append(value)
+
+        def loss_of():
+            diff = nm.sub(forward(crops, state, ratio)[0], mos)
+            return nm.mean_all(nm.mul(diff, diff))
+
+        history["loss"].append(nm.descend(state.params, loss_of, opt, settings.lr,
+                                          settings.weight_decay, f"step {step + 1}"))
 
         if val_every and val_recs and (step + 1) % val_every == 0:
             val_ratio = None if cfg.ratio_mode == "fixed" else DEFAULT_RATIO_SET[0]
@@ -463,10 +452,7 @@ def train(
                 best = {"params": {k: v.data.copy() for k, v in state.params.items()},
                         "history": json.loads(json.dumps(history))}
 
-    for name, p in state.params.items():
-        if not np.isfinite(p.data).all():
-            raise NumericalDivergenceError(
-                f"parameter {name} is non-finite after step {len(history['loss'])}")
+    nm.check_finite(state.params, f"step {len(history['loss'])}")
     best_state = state
     if best is not None:
         best_state = ModelState(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .errors import ContractError, NumericalDivergenceError, ShapeError
+from .errors import ContractError, ShapeError
 from .gridops import conv3x3
 
 # Guard against float fuzz like 0.3*100 = 30.000000000000004 before ceiling.
@@ -142,12 +142,6 @@ def split_blocks(img: np.ndarray, block_size: int) -> tuple[np.ndarray, BlockGri
         .reshape(-1, b * b)
     )
     return np.ascontiguousarray(blocks), grid
-
-
-def truncate(sm: SamplingMatrix, ratio: float) -> nm.Tensor:
-    """First ceil(ratio * B^2) rows of the base matrix, unchanged."""
-    m = measurement_count(sm.block_size, ratio)
-    return nm.slice_rows(sm.matrix, 0, m)
 
 
 def sample(sm: SamplingMatrix, img: np.ndarray, ratio: float) -> MeasurementSet:
@@ -310,7 +304,8 @@ def pretrain_csm(
     appearance. The loss is each image's MSE over its own padded (H, W),
     summed in corpus order, then scaled by 1/len(corpus). Returns the
     trained pieces plus the per-epoch loss before each step; a non-finite
-    loss raises ``NumericalDivergenceError`` before its update. Pass
+    loss raises ``NumericalDivergenceError`` before its update, and so does
+    a non-finite parameter after the last update, by name. Pass
     ``train_matrix=False`` to keep the matrix frozen (baseline comparisons).
     The matrix's ``requires_grad`` flag is left as it was passed in, on
     return and on raise.
@@ -333,26 +328,19 @@ def pretrain_csm(
             f"matrix block size {matrix.block_size} != requested {block_size}")
     requires_grad = matrix.matrix.requires_grad
     matrix.matrix.requires_grad = bool(train_matrix)
-    params = ([matrix.matrix] if train_matrix else []) + list(rec.params.values())
+    params = {"csm.phi": matrix.matrix} if train_matrix else {}
+    params.update({f"csnet.{name}": t for name, t in rec.params.items()})
+    scale = nm.Tensor(1.0 / len(corpus))
     state = nm.AdamState()
     losses: list[float] = []
     try:
         for epoch in range(epochs):
-            for t in params:
-                t.zero_grad()
-            with nm.GradTape() as tape:
-                total = _corpus_error(matrix, rec, corpus, ratio)
-                loss = nm.mul(total, nm.Tensor(1.0 / len(corpus)))
-            if not math.isfinite(loss.item()):
-                raise NumericalDivergenceError(
-                    f"non-finite pretraining loss at epoch {epoch + 1}")
-            losses.append(loss.item())
-            tape.backward(loss)
-            nm.adam_step(params, [t.grad for t in params], state, lr=lr)
+            losses.append(nm.descend(
+                params, lambda: nm.mul(_corpus_error(matrix, rec, corpus, ratio), scale),
+                state, lr, 0.0, f"pretraining epoch {epoch + 1}"))
     finally:
         matrix.matrix.requires_grad = requires_grad
-    if not all(np.isfinite(t.data).all() for t in params):
-        raise NumericalDivergenceError(f"non-finite parameters after epoch {epochs}")
+    nm.check_finite(params, f"pretraining epoch {epochs}")
     return matrix, rec, losses
 
 

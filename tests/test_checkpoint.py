@@ -65,7 +65,8 @@ class TestContainer:
 
     def test_version_mismatch_is_distinct_error(self, tmp_path, blobs):
         path = tmp_path / "c.ckpt"
-        ck.write_checkpoint(path, blobs, version=99)
+        path.write_bytes(frame_checkpoint(
+            [(name.encode("utf-8"), payload) for name, payload in blobs], version=99))
         with pytest.raises(CheckpointVersionError):
             ck.read_checkpoint(path)
 

@@ -103,9 +103,13 @@ class TestEncoderBlock:
         assert np.max(np.abs(out.var(axis=-1) - 1.0)) <= 1e-6
 
     def test_head_mismatch_rejected(self, rng):
+        # numerics.attention checks the split for both; its ShapeError is a ContractError
         p = nm.init_params(enc.block_shapes(8), rng, std=0.02)
-        with pytest.raises(ContractError):
-            enc.msa(nm.Tensor(np.zeros((2, 8))), p, 3)
+        x = nm.Tensor(np.zeros((4, 8)))
+        with pytest.raises(ContractError, match="3 heads"):
+            enc.msa(x, p, 3)
+        with pytest.raises(ContractError, match="3 heads"):
+            enc.window_msa(x, BlockGrid(2, 2, 1), p, 3, window=2)
 
 
 class TestEncode:
@@ -187,10 +191,11 @@ class TestWindowRefine:
     def test_zero_scale_leaves_attention_output(self, rng):
         d, heads = 4, 2
         grid = BlockGrid(2, 2, 1)
-        params = nm.init_params(enc.refiner_shapes(d, False), rng, std=0.02)
+        params = nm.init_params(enc.refiner_shapes(d, True), rng, std=0.02)
+        params["conv.alpha"].data[...] = 0.0
         x = nm.Tensor(rng.normal(size=(4, d)))
         root = enc.ParamGroup(params)
-        out = enc.window_refine(x, grid, root, heads, 2, 0.0).data
+        out = enc.window_refine(x, grid, root, heads, 2).data
         t = enc.window_block(x, grid, root.group("stl0"), heads, 2, 0)
         t = enc.window_block(t, grid, root.group("stl1"), heads, 2, 1)
         assert np.array_equal(out, t.data)
@@ -198,11 +203,9 @@ class TestWindowRefine:
     def test_matches_independent_step_by_step_evaluation(self, rng):
         d, heads = 2, 1
         grid = BlockGrid(2, 2, 1)
-        conv_scale = 0.3
         params = nm.init_params(enc.refiner_shapes(d, False), rng, std=0.02)
         x = rng.normal(size=(4, d))
-        out = enc.window_refine(nm.Tensor(x), grid, enc.ParamGroup(params), heads, 2,
-                                conv_scale).data
+        out = enc.window_refine(nm.Tensor(x), grid, enc.ParamGroup(params), heads, 2).data
 
         pa = arrs(params)
         # both layers see the whole 2x2 grid as one window; the shifted
@@ -228,7 +231,7 @@ class TestWindowRefine:
                         if 0 <= rr < 2 and 0 <= cc < 2:
                             acc = acc + tokens[rr, cc] @ w3[dr + 1, dc + 1]
                 conv[r, c] = acc
-        expected = conv_scale * conv.reshape(4, d) + t2
+        expected = enc.CONV_SCALE * conv.reshape(4, d) + t2
         assert np.max(np.abs(out - expected)) <= 1e-10
 
     def test_gradient_vs_finite_differences(self, rng):
@@ -241,8 +244,7 @@ class TestWindowRefine:
         checked = [params["stl0.attn.wq"], params["conv.w"], params["conv.alpha"]]
 
         def fwd():
-            out = enc.window_refine(nm.Tensor(x), grid, enc.ParamGroup(params), heads, 2,
-                                    enc.CONV_SCALE)
+            out = enc.window_refine(nm.Tensor(x), grid, enc.ParamGroup(params), heads, 2)
             return sum_all(nm.mul(out, readout))
 
         with nm.GradTape() as tape:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from csiqa import numerics as nm
-from csiqa.errors import ContractError, ShapeError
+from csiqa.errors import ContractError, NumericalDivergenceError, ShapeError
 from csiqa.gridops import conv3x3
 
 from conftest import central_diff_grads, max_rel_err
@@ -369,7 +369,7 @@ class TestAdam:
         state = nm.AdamState()
         g = 0.5
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        nm.adam_step([p], [np.array([g])], state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        nm.adam_step([p], [np.array([g])], state, lr=lr)
         m = (1 - b1) * g
         v = (1 - b2) * g * g
         m_hat = m / (1 - b1)
@@ -400,6 +400,39 @@ class TestAdam:
         state = nm.AdamState()
         nm.adam_step([p], [np.zeros(1)], state, lr=0.1, weight_decay=0.5)
         assert p.data[0] < 10.0
+
+
+class TestDescend:
+    @staticmethod
+    def square_loss(p):
+        return lambda: nm.mean_all(nm.mul(p, p))
+
+    def test_equals_one_tape_and_adam_step(self):
+        a = nm.Tensor([0.3, -0.7], requires_grad=True)
+        b = nm.Tensor([0.3, -0.7], requires_grad=True)
+        b.grad = np.ones(2)  # stale, from an earlier tape: cleared first
+        sa, sb = nm.AdamState(), nm.AdamState()
+        with nm.GradTape() as tape:
+            loss = self.square_loss(a)()
+        tape.backward(loss)
+        nm.adam_step([a], [a.grad], sa, 0.05, 0.01)
+        value = nm.descend({"b": b}, self.square_loss(b), sb, 0.05, 0.01, "step 1")
+        assert value == loss.item()
+        assert np.array_equal(a.data, b.data) and sb.step == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_raises_before_any_update(self):
+        p = nm.Tensor([1e200, 2.0], requires_grad=True)
+        state = nm.AdamState()
+        with pytest.raises(NumericalDivergenceError, match="non-finite loss at step 7"):
+            nm.descend({"p": p}, self.square_loss(p), state, 0.1, 0.0, "step 7")
+        assert p.data.tolist() == [1e200, 2.0] and state.step == 0
+
+    def test_check_finite_names_the_first_bad_parameter(self):
+        params = {"a": nm.Tensor([1.0]), "b": nm.Tensor([np.inf]), "c": nm.Tensor([np.nan])}
+        with pytest.raises(NumericalDivergenceError, match="parameter b is non-finite after epoch 3"):
+            nm.check_finite(params, "epoch 3")
+        nm.check_finite({"a": params["a"]}, "epoch 3")
 
 
 class TestTensorBasics:

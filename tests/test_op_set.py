@@ -3,13 +3,17 @@ per-layer view still finds every function it wraps.
 
 Reference ops that only tests need live in ``tests/unfused.py``. ``bmm``
 and ``gather_rows`` stay in ``numerics`` while ``perfbench/tracer.py``
-wraps them; the second test keeps both lists honest.
+wraps them; the second test keeps both lists honest. The third holds the
+benchmark's op boundary to one ``adam_step`` per optimizer update.
 """
 
 import ast
 from pathlib import Path
 
 from csiqa import numerics as nm
+from csiqa import pipeline as pl
+from csiqa import sampling
+from csiqa.data import generate_toy_dataset, read_manifest
 
 SRC = Path(nm.__file__).parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -69,3 +73,19 @@ def test_benchmark_wrap_targets_all_exist(monkeypatch):
         spy.uninstall()
     assert {name: getattr(nm, name) for name in originals} == originals
     assert nm.GradTape.backward is backward
+
+
+def test_benchmark_op_boundary_is_one_adam_step_per_update(monkeypatch, tmp_path, rng):
+    """The benchmark ends an op at each ``adam_step`` return (``OpMarks``,
+    through ``tracer.rebind``): one per ``train`` step, validation steps
+    included, and one per ``pretrain_csm`` epoch."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    records = read_manifest(generate_toy_dataset(tmp_path, n_images=10, size=16, seed=0))
+    cfg = pl.ModelConfig(embed_dim=16, depth=1, crop_size=8)
+    with workloads.OpMarks() as marks:
+        pl.train(records, cfg, pl.TrainSettings(batch=4, lr=1e-3, steps=3, val_every=2))
+        assert len(marks.times) == 3
+        sampling.pretrain_csm([rng.random((8, 8))], 0.25, epochs=2, lr=1e-3, width=4)
+        assert len(marks.times) == 5

@@ -11,7 +11,7 @@ from csiqa import pipeline as pl
 from csiqa.checkpoint import array_to_bytes, read_checkpoint, write_checkpoint
 from csiqa.data import generate_toy_dataset, pad_to_size, random_crop, read_manifest
 from csiqa.embedding import add_position
-from csiqa.encoder import CONV_SCALE, encode, window_refine
+from csiqa.encoder import encode, window_refine
 from csiqa.errors import (
     CheckpointFormatError,
     ContractError,
@@ -77,7 +77,7 @@ class TestForward:
         blocks, grid = split_blocks(img, 4)
         x = add_position(nm.Tensor(blocks), state.params["aem.pos"])
         x = encode(x, state.group("enc"), cfg.depth, cfg.heads)
-        x = window_refine(x, grid, state.group("refine0"), cfg.heads, cfg.window, CONV_SCALE)
+        x = window_refine(x, grid, state.group("refine0"), cfg.heads, cfg.window)
         direct, _, _ = head_score(x, state.group("head"))
         assert abs(via_model.item() - direct.item()) <= 1e-12
 
@@ -173,7 +173,8 @@ def per_crop_loss(state, crops, targets, ratio):
 
 
 def loss_and_grads(state, loss_fn):
-    state.zero_grads()
+    for t in state.params.values():
+        t.zero_grad()
     with nm.GradTape() as tape:
         loss = loss_fn()
     tape.backward(loss)
@@ -362,6 +363,19 @@ class TestPersistence:
             pl.train(tiny_manifest, cfg, pl.TrainSettings(batch=4, lr=1e-3, steps=2, val_every=0),
                      resume=resume, csm=pl.load_pretrained_csm(csm_checkpoint)[0])
 
+    @pytest.mark.parametrize("history", [None, {"loss": [0.5]}, {"val": []}],
+                             ids=["none", "no-val", "no-loss"])
+    def test_resume_without_history_is_contract_error(self, tmp_path, tiny_manifest, history):
+        cfg = pl.ModelConfig(**TINY, seed=3)
+        first = pl.train(tiny_manifest, cfg,
+                         pl.TrainSettings(batch=4, lr=1e-3, steps=1, val_every=0))
+        path = tmp_path / "m.ckpt"
+        pl.save_model(path, first.state, optimizer=first.optimizer, rng=first.rng,
+                      history=history)
+        with pytest.raises(ContractError, match="history"):
+            pl.train(tiny_manifest, cfg, pl.TrainSettings(batch=4, lr=1e-3, steps=2, val_every=0),
+                     resume=pl.load_model(path))
+
     @pytest.mark.parametrize("config_blob,message", [
         (b'{"kind":"model","config":{', "not valid JSON"),
         (b'{"kind":"model","config":{"variant":"cl-iqa"}}', "missing keys"),
@@ -430,7 +444,7 @@ class TestPersistence:
     def _with_optimizer(self, tmp_path):
         state = pl.init_model(pl.ModelConfig(**TINY))
         opt = nm.AdamState()
-        opt.ensure(state.parameters())
+        opt.ensure(list(state.params.values()))
         opt.step = 1
         good = tmp_path / "good.ckpt"
         pl.save_model(good, state, opt, np.random.default_rng(0), {})
