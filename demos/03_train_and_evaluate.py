@@ -25,5 +25,5 @@ if result.history["best_step"]:
     print(f"best validation checkpoint at step {result.history['best_step']}")
 
 for ratio in (0.1, 0.5):
-    out = evaluate(records, result.best_state, ratio=ratio, n_crops=5)
+    out = evaluate(records, (result.best or result).state, ratio=ratio, n_crops=5)
     print(f"test split at ratio {ratio}: PLCC={out['plcc']:.3f} SRCC={out['srcc']:.3f}")

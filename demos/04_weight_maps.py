@@ -21,7 +21,8 @@ records = read_manifest(manifest)
 
 cfg = ModelConfig(variant="cl-iqa", ratio_mode="fixed", ratio=0.1, seed=0)
 print("training a small model first (200 steps) ...")
-state = train(records, cfg, TrainSettings(batch=8, lr=7e-4, steps=200)).best_state
+result = train(records, cfg, TrainSettings(batch=8, lr=7e-4, steps=200))
+state = (result.best or result).state
 
 rng = np.random.default_rng(3)
 clean = make_clean_pattern(32, rng)

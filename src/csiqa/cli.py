@@ -190,7 +190,7 @@ def cmd_pretrain(s: dict) -> int:
     for i, loss in enumerate(losses):
         if i % max(1, len(losses) // 10) == 0 or i == len(losses) - 1:
             print(f"epoch {i}: mse={loss:.6g}")
-    save_pretrained_csm(s["out"], matrix, rec, s["ratio"], losses)
+    save_pretrained_csm(s["out"], matrix, rec, losses)
     if losses:
         print(f"final mse={losses[-1]:.6g} (initial {losses[0]:.6g})")
     print(f"wrote {s['out']}")
@@ -216,19 +216,13 @@ def cmd_train(s: dict) -> int:
     if csm is not None:
         print(f"# initialized sampling matrix from {s['csm']} "
               f"(pretrained at ratio {csm_meta['ratio']})")
-    if result.history["val"]:
-        best_step = result.history.get("best_step")
-        best_entry = next((e for e in result.history["val"] if e["step"] == best_step), None)
-        if best_entry is not None:
-            rank = best_entry["srcc"]
-            print(f"best val step={best_step} mse={best_entry['mse']:.6g} "
-                  f"srcc={'n/a' if rank is None else f'{rank:.4f}'}")
     if result.best is not None:
-        save_model(s["out"], result.best_state,
-                   optimizer=None, rng=None, history=result.best["history"])
-    else:
-        save_model(s["out"], result.state, optimizer=result.optimizer,
-                   rng=result.rng, history=result.history)
+        best = result.best.history["val"][-1]
+        rank = best["srcc"]
+        print(f"best val step={best['step']} mse={best['mse']:.6g} "
+              f"srcc={'n/a' if rank is None else f'{rank:.4f}'}")
+    saved = result.best or result
+    save_model(s["out"], saved.state, saved.optimizer, saved.rng, saved.history)
     print(f"final train loss={result.history['loss'][-1]:.6g}" if result.history["loss"]
           else "no training steps run")
     print(f"wrote {s['out']}")

@@ -18,7 +18,10 @@ hot path uses three fused kernels (``attention``, ``residual_layer_norm``,
 ``affine_gelu``), one tape record each, bitwise equal to the chains of
 plain ops that ``tests/unfused.py`` composes as their reference. Both
 trainers take their optimizer steps through ``descend`` (one tape, the
-divergence check, ``adam_step``) and end with ``check_finite``.
+divergence check, ``adam_step``) and end with ``check_finite``. Parameters
+travel as a name -> tensor dict; ``adam_step`` reads each one's ``.grad``
+and keeps its Adam moments under the same name, which is also how a
+checkpoint stores them.
 """
 
 from __future__ import annotations
@@ -640,57 +643,49 @@ def affine_gelu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class AdamState:
-    """Per-parameter first/second moment buffers plus the step counter.
+    """First/second moment buffers by parameter name, plus the step counter.
 
-    Buffers are zero-initialized lazily on the first ``adam_step`` call.
+    A name's buffers are zero-initialized by the first ``adam_step`` that
+    updates it.
     """
 
     def __init__(self):
         self.step: int = 0
-        self.m: list[np.ndarray] | None = None
-        self.v: list[np.ndarray] | None = None
-
-    def ensure(self, params: Sequence[Tensor]) -> None:
-        if self.m is None:
-            self.m = [np.zeros_like(p.data) for p in params]
-            self.v = [np.zeros_like(p.data) for p in params]
-        if len(self.m) != len(params):
-            raise ShapeError(
-                f"optimizer state holds {len(self.m)} buffers for {len(params)} parameters")
-        for p, m in zip(params, self.m):
-            if m.shape != p.data.shape:
-                raise ShapeError(f"moment buffer {m.shape} does not match parameter {p.shape}")
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
 
 
 def adam_step(
-    params: Sequence[Tensor],
-    grads: Sequence[np.ndarray],
+    params: dict[str, Tensor],
     state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
 ) -> None:
-    """One Adam update with bias correction, applied in place.
+    """One Adam update with bias correction from each parameter's ``.grad``
+    (a missing grad counts as zero), applied in place.
 
     Weight decay is coupled L2 (classic Adam): ``weight_decay * p`` is added
     to the gradient before the moment updates, not decoupled AdamW-style.
     """
-    if len(params) != len(grads):
-        raise ShapeError(f"{len(params)} parameters but {len(grads)} gradients")
-    state.ensure(params)
     state.step += 1
     t = state.step
     bc1 = 1.0 - _ADAM_BETA1**t
     bc2 = 1.0 - _ADAM_BETA2**t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        g = np.zeros_like(p.data) if g is None else np.asarray(g, dtype=np.float64)
+    for name, p in params.items():
+        g = np.zeros_like(p.data) if p.grad is None else p.grad
         if g.shape != p.data.shape:
-            raise ShapeError(f"gradient {g.shape} does not match parameter {p.shape}")
+            raise ShapeError(f"gradient {g.shape} does not match parameter {name} {p.shape}")
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        if state.m[name].shape != p.data.shape:
+            raise ShapeError(
+                f"moment buffer {state.m[name].shape} does not match parameter {name} {p.shape}")
         if weight_decay != 0.0:
             g = g + weight_decay * p.data
-        state.m[i] = _ADAM_BETA1 * state.m[i] + (1.0 - _ADAM_BETA1) * g
-        state.v[i] = _ADAM_BETA2 * state.v[i] + (1.0 - _ADAM_BETA2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
+        state.m[name] = _ADAM_BETA1 * state.m[name] + (1.0 - _ADAM_BETA1) * g
+        state.v[name] = _ADAM_BETA2 * state.v[name] + (1.0 - _ADAM_BETA2) * (g * g)
+        m_hat = state.m[name] / bc1
+        v_hat = state.v[name] / bc2
         p.data -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
@@ -710,8 +705,7 @@ def descend(params: dict[str, Tensor], loss_of, state: AdamState, lr: float,
     if not math.isfinite(value):
         raise NumericalDivergenceError(f"non-finite loss at {where}")
     tape.backward(loss)
-    tensors = list(params.values())
-    adam_step(tensors, [p.grad for p in tensors], state, lr, weight_decay)
+    adam_step(params, state, lr, weight_decay)
     return value
 
 

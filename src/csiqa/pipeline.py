@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -342,20 +342,34 @@ class TrainSettings:
 
 
 @dataclass
-class TrainResult:
+class LoadedCheckpoint:
+    """A model's training record: its parameters, the optimizer and RNG
+    state to resume from (``None`` when not kept) and its history."""
+
     state: ModelState
-    best_state: ModelState
+    optimizer: nm.AdamState | None
+    rng: np.random.Generator | None
     history: dict
-    optimizer: nm.AdamState
-    rng: np.random.Generator
-    best: dict | None
+
+
+@dataclass
+class TrainResult(LoadedCheckpoint):
+    """The final training record, plus ``best``: the best-on-validation
+    parameters and the history up to them, with no optimizer or RNG.
+
+    ``best`` covers only the validations of the ``train`` call that made
+    it; it is ``None`` when none of them improved on the history's best,
+    also when a resumed run's best came before the resume.
+    """
+
+    best: LoadedCheckpoint | None
 
 
 def train(
     records: list[ManifestRecord],
     cfg: ModelConfig,
     settings: TrainSettings | None = None,
-    resume: "LoadedCheckpoint | None" = None,
+    resume: LoadedCheckpoint | None = None,
     csm: SamplingMatrix | None = None,
 ) -> TrainResult:
     """Fit a model on the seeded training split of a manifest.
@@ -363,11 +377,13 @@ def train(
     Each step draws a batch without replacement, one fresh random crop per
     drawn image, and (in arbitrary mode) one ratio for the whole batch; all
     randomness comes from a single checkpointed stream, so training resumed
-    from a checkpoint continues bit-identically; a resumed run must be given
-    the config it was trained with. A fresh run takes its sampling matrix from
-    ``csm`` when one is given. Returns both the final state and the
-    best-on-validation state (lowest validation MSE), whose parameter arrays
-    and history up to it ``best`` holds. A non-finite loss raises
+    from a record (a loaded checkpoint or an earlier result, as it is)
+    continues bit-identically; a resumed run must be given the config it was
+    trained with. A fresh run takes its sampling matrix from ``csm`` when one
+    is given. Returns the final record and, as its ``best``, a snapshot at
+    the lowest validation MSE seen by this call; a resumed run whose best
+    validation came before the resume has no snapshot, though
+    ``history["best_step"]`` still names that step. A non-finite loss raises
     ``NumericalDivergenceError`` before its update, and so does a non-finite
     parameter after the last update, by name.
     """
@@ -449,16 +465,13 @@ def train(
             if mse < best_mse:
                 best_mse = mse
                 history["best_step"] = step + 1
-                best = {"params": {k: v.data.copy() for k, v in state.params.items()},
-                        "history": json.loads(json.dumps(history))}
+                params = {k: nm.Tensor(v.data.copy(), requires_grad=True)
+                          for k, v in state.params.items()}
+                best = LoadedCheckpoint(ModelState(state.config, params), None, None,
+                                        json.loads(json.dumps(history)))
 
     nm.check_finite(state.params, f"step {len(history['loss'])}")
-    best_state = state
-    if best is not None:
-        best_state = ModelState(
-            replace(cfg),
-            {k: nm.Tensor(v.copy(), requires_grad=True) for k, v in best["params"].items()})
-    return TrainResult(state, best_state, history, opt, rng, best)
+    return TrainResult(state, opt, rng, history, best)
 
 
 # ---------------------------------------------------------------------------
@@ -469,32 +482,17 @@ def _json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-@dataclass
-class LoadedCheckpoint:
-    state: ModelState
-    optimizer: nm.AdamState | None
-    rng: np.random.Generator | None
-    history: dict
-
-
-def save_model(
-    path,
-    state: ModelState,
-    optimizer: nm.AdamState | None = None,
-    rng: np.random.Generator | None = None,
-    history: dict | None = None,
-) -> None:
-    blobs: list[tuple[str, bytes]] = []
-    meta = {"kind": "model", "config": state.config.to_dict()}
-    blobs.append(("meta/config", _json_bytes(meta)))
-    for name, tensor in state.params.items():
-        blobs.append((f"param/{name}", array_to_bytes(tensor.data)))
-    if optimizer is not None and optimizer.m is not None:
+def _save(path, meta: dict, params: dict[str, nm.Tensor], history: dict,
+          optimizer: nm.AdamState | None = None, rng: np.random.Generator | None = None) -> None:
+    """Write the blobs in file order: ``meta/config``, ``param/<name>`` per
+    tensor, the optimizer's step and ``opt/m/<name>``, ``opt/v/<name>``
+    moments once it has stepped, the RNG state, then ``meta/history``."""
+    blobs = [("meta/config", _json_bytes(meta))]
+    blobs += [(f"param/{name}", array_to_bytes(t.data)) for name, t in params.items()]
+    if optimizer is not None and optimizer.m:
         blobs.append(("opt/step", struct.pack("<Q", optimizer.step)))
-        for name, m in zip(state.params.keys(), optimizer.m):
-            blobs.append((f"opt/m/{name}", array_to_bytes(m)))
-        for name, v in zip(state.params.keys(), optimizer.v):
-            blobs.append((f"opt/v/{name}", array_to_bytes(v)))
+        blobs += [(f"opt/m/{name}", array_to_bytes(m)) for name, m in optimizer.m.items()]
+        blobs += [(f"opt/v/{name}", array_to_bytes(v)) for name, v in optimizer.v.items()]
     if rng is not None:
         st = rng.bit_generator.state
         payload = {
@@ -504,8 +502,19 @@ def save_model(
             "uinteger": int(st["uinteger"]),
         }
         blobs.append(("rng/train", _json_bytes(payload)))
-    blobs.append(("meta/history", _json_bytes(history if history is not None else {})))
+    blobs.append(("meta/history", _json_bytes(history)))
     write_checkpoint(path, blobs)
+
+
+def save_model(
+    path,
+    state: ModelState,
+    optimizer: nm.AdamState | None = None,
+    rng: np.random.Generator | None = None,
+    history: dict | None = None,
+) -> None:
+    _save(path, {"kind": "model", "config": state.config.to_dict()}, state.params,
+          history or {}, optimizer, rng)
 
 
 def _json_blob(blobs: dict[str, bytes], name: str, path):
@@ -570,8 +579,8 @@ def load_model(path) -> LoadedCheckpoint:
         except struct.error:
             raise CheckpointFormatError(
                 f"{path}: blob opt/step is not an 8-byte step count") from None
-        optimizer.m = [_array_blob(blobs, f"opt/m/{n}", s, path) for n, s in shapes.items()]
-        optimizer.v = [_array_blob(blobs, f"opt/v/{n}", s, path) for n, s in shapes.items()]
+        optimizer.m = {n: _array_blob(blobs, f"opt/m/{n}", s, path) for n, s in shapes.items()}
+        optimizer.v = {n: _array_blob(blobs, f"opt/v/{n}", s, path) for n, s in shapes.items()}
 
     rng = None
     if "rng/train" in blobs:
@@ -588,20 +597,18 @@ def load_model(path) -> LoadedCheckpoint:
     return LoadedCheckpoint(state, optimizer, rng, history)
 
 
-def save_pretrained_csm(path, matrix, reconstructor, ratio: float, losses) -> None:
-    """Checkpoint restricted to the sampling module's keys."""
+def save_pretrained_csm(path, matrix, reconstructor, losses) -> None:
+    """Checkpoint restricted to the sampling module's keys, at the
+    reconstructor's ratio."""
     meta = {
         "kind": "csm-pretrain",
         "block_size": matrix.block_size,
-        "ratio": ratio,
+        "ratio": reconstructor.ratio,
         "width": reconstructor.width,
     }
-    blobs = [("meta/config", _json_bytes(meta)),
-             ("param/csm.phi", array_to_bytes(matrix.matrix.data))]
-    for name, tensor in reconstructor.params.items():
-        blobs.append((f"param/csnet.{name}", array_to_bytes(tensor.data)))
-    blobs.append(("meta/history", _json_bytes({"loss": list(losses)})))
-    write_checkpoint(path, blobs)
+    params = {"csm.phi": matrix.matrix,
+              **{f"csnet.{name}": t for name, t in reconstructor.params.items()}}
+    _save(path, meta, params, {"loss": list(losses)})
 
 
 def load_pretrained_csm(path):

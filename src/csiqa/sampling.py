@@ -72,7 +72,6 @@ class MeasurementSet:
 
     values: nm.Tensor
     grid: BlockGrid
-    ratio: float
 
     @property
     def measurement_length(self) -> int:
@@ -157,7 +156,7 @@ def sample(sm: SamplingMatrix, img: np.ndarray, ratio: float) -> MeasurementSet:
     blocks, grid = split_blocks(img, sm.block_size)
     full = nm.matmul(nm.Tensor(blocks), nm.permute(sm.matrix, (1, 0)))
     y = nm.slice_cols(full, 0, m) if m < full.shape[1] else full
-    return MeasurementSet(y, grid, ratio)
+    return MeasurementSet(y, grid)
 
 
 def sample_conv(sm: SamplingMatrix, img: np.ndarray, ratio: float) -> MeasurementSet:
@@ -175,7 +174,7 @@ def sample_conv(sm: SamplingMatrix, img: np.ndarray, ratio: float) -> Measuremen
     windows = np.lib.stride_tricks.sliding_window_view(
         padded, (b, b), axis=(-2, -1))[..., ::b, ::b, :, :]
     y = np.einsum("...ghuv,muv->...ghm", windows, kernels, optimize=True)
-    return MeasurementSet(nm.Tensor(y.reshape(-1, m)), grid, ratio)
+    return MeasurementSet(nm.Tensor(y.reshape(-1, m)), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +306,8 @@ def pretrain_csm(
     loss raises ``NumericalDivergenceError`` before its update, and so does
     a non-finite parameter after the last update, by name. Pass
     ``train_matrix=False`` to keep the matrix frozen (baseline comparisons).
-    The matrix's ``requires_grad`` flag is left as it was passed in, on
-    return and on raise.
+    The matrix is sampled through a tensor that shares its array, so the
+    updates land in it while its ``requires_grad`` flag stays as passed.
     """
     if not corpus:
         raise ContractError("pretraining corpus is empty")
@@ -326,20 +325,17 @@ def pretrain_csm(
     if matrix.block_size != block_size:
         raise ContractError(
             f"matrix block size {matrix.block_size} != requested {block_size}")
-    requires_grad = matrix.matrix.requires_grad
-    matrix.matrix.requires_grad = bool(train_matrix)
-    params = {"csm.phi": matrix.matrix} if train_matrix else {}
+    phi = nm.Tensor(matrix.matrix.data, requires_grad=train_matrix)
+    sampler = SamplingMatrix(phi, block_size)
+    params = {"csm.phi": phi} if train_matrix else {}
     params.update({f"csnet.{name}": t for name, t in rec.params.items()})
     scale = nm.Tensor(1.0 / len(corpus))
     state = nm.AdamState()
     losses: list[float] = []
-    try:
-        for epoch in range(epochs):
-            losses.append(nm.descend(
-                params, lambda: nm.mul(_corpus_error(matrix, rec, corpus, ratio), scale),
-                state, lr, 0.0, f"pretraining epoch {epoch + 1}"))
-    finally:
-        matrix.matrix.requires_grad = requires_grad
+    for epoch in range(epochs):
+        losses.append(nm.descend(
+            params, lambda: nm.mul(_corpus_error(sampler, rec, corpus, ratio), scale),
+            state, lr, 0.0, f"pretraining epoch {epoch + 1}"))
     nm.check_finite(params, f"pretraining epoch {epochs}")
     return matrix, rec, losses
 

@@ -159,7 +159,7 @@ class TestTrain:
         rng = np.random.default_rng(0)
         good, bad = tmp_path / "csm.ckpt", tmp_path / "bad.ckpt"
         save_pretrained_csm(good, random_sampling_matrix(4, rng),
-                            init_reconstructor(4, 0.25, rng, width=4), 0.25, [])
+                            init_reconstructor(4, 0.25, rng, width=4), [])
         write_checkpoint(bad, [*read_checkpoint(good),
                                ("param/stray", array_to_bytes(np.zeros(2)))])
         out = tmp_path / "m.ckpt"

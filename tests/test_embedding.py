@@ -10,13 +10,10 @@ from conftest import central_diff_grads, max_rel_err
 from unfused import sum_all
 
 
-def make_meas(values, block_size=4, ratio=None):
+def make_meas(values, block_size=4):
     values = np.asarray(values, dtype=np.float64)
-    side = block_size * block_size
-    if ratio is None:
-        ratio = values.shape[1] / side
     grid = sp.BlockGrid(1, values.shape[0], block_size)
-    return sp.MeasurementSet(nm.Tensor(values), grid, ratio)
+    return sp.MeasurementSet(nm.Tensor(values), grid)
 
 
 def embedding_matrix(embed_dim, rng, block_size=4):
@@ -35,13 +32,13 @@ class TestEmbed:
     def test_identity_at_full_ratio(self, rng):
         e = nm.Tensor(np.eye(16))
         y = rng.random((5, 16))
-        out = em.embed(e, make_meas(y, ratio=1.0))
+        out = em.embed(e, make_meas(y))
         assert np.array_equal(out.data, y)
 
     def test_matches_zero_padding_oracle(self, rng):
         e = embedding_matrix(6, rng)
         y = rng.random((4, 8))  # ratio 0.5 of a 16-wide block
-        out = em.embed(e, make_meas(y, ratio=0.5))
+        out = em.embed(e, make_meas(y))
         padded = np.concatenate([y, np.zeros((4, 8))], axis=1)
         oracle = padded @ e.data.T
         assert np.max(np.abs(out.data - oracle)) <= 1e-12
@@ -50,15 +47,15 @@ class TestEmbed:
         e = embedding_matrix(6, rng)
         y1, y2 = rng.random((3, 8)), rng.random((3, 8))
         a, b = 2.5, -1.25
-        lhs = em.embed(e, make_meas(a * y1 + b * y2, ratio=0.5)).data
-        rhs = (a * em.embed(e, make_meas(y1, ratio=0.5)).data
-               + b * em.embed(e, make_meas(y2, ratio=0.5)).data)
+        lhs = em.embed(e, make_meas(a * y1 + b * y2)).data
+        rhs = (a * em.embed(e, make_meas(y1)).data
+               + b * em.embed(e, make_meas(y2)).data)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_overlong_measurements_rejected(self, rng):
         e = embedding_matrix(6, rng)
         with pytest.raises(ContractError):
-            em.embed(e, make_meas(np.zeros((2, 17)), ratio=1.0))
+            em.embed(e, make_meas(np.zeros((2, 17))))
 
 
 class TestAddPosition:
@@ -90,17 +87,17 @@ class TestAddPosition:
 class TestBypass:
     def test_exact_width_passthrough(self, rng):
         y = rng.random((3, 8))
-        out = em.bypass_embed(make_meas(y, ratio=0.5), 8)
+        out = em.bypass_embed(make_meas(y), 8)
         assert np.array_equal(out.data, y)
 
     def test_zero_padding(self):
         y = np.array([[1.0, 2.0, 3.0, 4.0]])
-        out = em.bypass_embed(make_meas(y, ratio=0.25), 8)
+        out = em.bypass_embed(make_meas(y), 8)
         assert np.array_equal(out.data, [[1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0]])
 
     def test_overflow_rejected(self):
         with pytest.raises(ContractError):
-            em.bypass_embed(make_meas(np.zeros((2, 9)), ratio=0.6), 8)
+            em.bypass_embed(make_meas(np.zeros((2, 9))), 8)
 
     def test_gradient_matches_explicit_projection(self, rng):
         """Bypass must be gradient-equivalent to a fixed 0/1 projection matrix."""

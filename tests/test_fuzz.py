@@ -211,7 +211,7 @@ def csm_blobs(workdir):
     rng = np.random.default_rng(0)
     ckpt = workdir / "csm.ckpt"
     save_pretrained_csm(ckpt, random_sampling_matrix(2, rng),
-                        init_reconstructor(2, 0.5, rng, width=2), 0.5, [0.25])
+                        init_reconstructor(2, 0.5, rng, width=2), [0.25])
     return [(name.encode("utf-8"), payload) for name, payload in read_checkpoint(ckpt)]
 
 

@@ -357,19 +357,42 @@ def test_gradients_match_finite_differences(op_name, rng):
 
 
 class TestAdam:
+    @staticmethod
+    def with_grad(values, grad):
+        p = nm.Tensor(values, requires_grad=True)
+        p.grad = None if grad is None else np.asarray(grad, dtype=np.float64)
+        return p
+
     def test_zero_grad_leaves_parameters_unchanged(self):
-        p = nm.Tensor([1.0, -2.0], requires_grad=True)
+        p = self.with_grad([1.0, -2.0], np.zeros(2))
         before = p.data.copy()
         state = nm.AdamState()
-        nm.adam_step([p], [np.zeros(2)], state, lr=0.1)
+        nm.adam_step({"p": p}, state, lr=0.1)
         assert np.array_equal(p.data, before)
 
-    def test_single_step_matches_hand_computation(self):
-        p = nm.Tensor([1.0], requires_grad=True)
+    def test_missing_grad_counts_as_zero(self):
+        a = self.with_grad([10.0, -2.0], np.zeros(2))
+        b = self.with_grad([10.0, -2.0], None)
+        sa, sb = nm.AdamState(), nm.AdamState()
+        for _ in range(3):
+            nm.adam_step({"w": a}, sa, lr=0.1, weight_decay=0.5)
+            nm.adam_step({"w": b}, sb, lr=0.1, weight_decay=0.5)
+        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(sa.m["w"], sb.m["w"]) and np.array_equal(sa.v["w"], sb.v["w"])
+
+    def test_moments_are_keyed_by_parameter_name(self):
+        params = {"b": self.with_grad([1.0], [0.5]), "a": self.with_grad([1.0, 2.0], None)}
         state = nm.AdamState()
+        nm.adam_step(params, state, lr=0.1)
+        assert list(state.m) == list(state.v) == ["b", "a"]
+        assert state.m["b"].tolist() == [(1 - 0.9) * 0.5] and state.m["a"].tolist() == [0.0, 0.0]
+
+    def test_single_step_matches_hand_computation(self):
         g = 0.5
+        p = self.with_grad([1.0], [g])
+        state = nm.AdamState()
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        nm.adam_step([p], [np.array([g])], state, lr=lr)
+        nm.adam_step({"p": p}, state, lr=lr)
         m = (1 - b1) * g
         v = (1 - b2) * g * g
         m_hat = m / (1 - b1)
@@ -383,22 +406,23 @@ class TestAdam:
         sa, sb = nm.AdamState(), nm.AdamState()
         for _ in range(5):
             g = rng.normal(size=2)
-            nm.adam_step([a], [g.copy()], sa, lr=0.05, weight_decay=0.01)
-            nm.adam_step([b], [g.copy()], sb, lr=0.05, weight_decay=0.01)
+            a.grad, b.grad = g.copy(), g.copy()
+            nm.adam_step({"a": a}, sa, lr=0.05, weight_decay=0.01)
+            nm.adam_step({"b": b}, sb, lr=0.05, weight_decay=0.01)
         assert np.array_equal(a.data, b.data)
 
     def test_moment_shape_mismatch_rejected(self):
-        p = nm.Tensor([1.0, 2.0], requires_grad=True)
+        p = self.with_grad([1.0, 2.0], np.zeros(2))
         state = nm.AdamState()
-        nm.adam_step([p], [np.zeros(2)], state, lr=0.1)
-        q = nm.Tensor([[1.0], [2.0]], requires_grad=True)
-        with pytest.raises(ShapeError):
-            nm.adam_step([q], [np.zeros((2, 1))], state, lr=0.1)
+        nm.adam_step({"p": p}, state, lr=0.1)
+        q = self.with_grad([[1.0], [2.0]], np.zeros((2, 1)))
+        with pytest.raises(ShapeError, match="parameter p"):
+            nm.adam_step({"p": q}, state, lr=0.1)
 
     def test_coupled_weight_decay_shrinks_unused_parameter(self):
-        p = nm.Tensor([10.0], requires_grad=True)
+        p = self.with_grad([10.0], np.zeros(1))
         state = nm.AdamState()
-        nm.adam_step([p], [np.zeros(1)], state, lr=0.1, weight_decay=0.5)
+        nm.adam_step({"p": p}, state, lr=0.1, weight_decay=0.5)
         assert p.data[0] < 10.0
 
 
@@ -415,10 +439,11 @@ class TestDescend:
         with nm.GradTape() as tape:
             loss = self.square_loss(a)()
         tape.backward(loss)
-        nm.adam_step([a], [a.grad], sa, 0.05, 0.01)
+        nm.adam_step({"b": a}, sa, 0.05, 0.01)
         value = nm.descend({"b": b}, self.square_loss(b), sb, 0.05, 0.01, "step 1")
         assert value == loss.item()
         assert np.array_equal(a.data, b.data) and sb.step == 1
+        assert np.array_equal(sa.m["b"], sb.m["b"]) and np.array_equal(sa.v["b"], sb.v["b"])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_raises_before_any_update(self):

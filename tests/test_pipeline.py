@@ -341,6 +341,27 @@ class TestPersistence:
             assert np.array_equal(resumed.state.params[name].data,
                                   straight.state.params[name].data), name
 
+    def test_resume_with_validation_keeps_history_but_not_an_earlier_best(self, tiny_manifest):
+        # the best validation (step 6) comes before the resume, so the
+        # resumed call, whose own validations never beat it, has no snapshot
+        cfg = pl.ModelConfig(**TINY, seed=3)
+
+        def run(steps, resume=None):
+            return pl.train(tiny_manifest, cfg,
+                            pl.TrainSettings(batch=4, lr=1.5e-2, steps=steps, val_every=2),
+                            resume=resume)
+
+        straight = run(12)
+        resumed = run(12, resume=run(6))
+
+        assert resumed.history == straight.history
+        for name in straight.state.params:
+            assert np.array_equal(resumed.state.params[name].data,
+                                  straight.state.params[name].data), name
+        assert straight.best.history["best_step"] == 6
+        assert straight.best.optimizer is None and straight.best.rng is None
+        assert resumed.history["best_step"] == 6 and resumed.best is None
+
     @pytest.mark.parametrize("change", [{"crop_size": 8}, {"seed": 4}], ids=["crop", "seed"])
     def test_resume_under_another_config_is_contract_error(self, tiny_manifest, change):
         # a crop-16 model would otherwise train on crop-8 crops through a
@@ -348,20 +369,18 @@ class TestPersistence:
         cfg = pl.ModelConfig(**{**TINY, "crop_size": 16}, seed=3)
         first = pl.train(tiny_manifest, cfg,
                          pl.TrainSettings(batch=4, lr=1e-3, steps=1, val_every=0))
-        resume = pl.LoadedCheckpoint(first.state, first.optimizer, first.rng, first.history)
         (field,) = change
         with pytest.raises(ContractError, match=f"{field}="):
             pl.train(tiny_manifest, replace(cfg, **change),
-                     pl.TrainSettings(batch=4, lr=1e-3, steps=2, val_every=0), resume=resume)
+                     pl.TrainSettings(batch=4, lr=1e-3, steps=2, val_every=0), resume=first)
 
     def test_resume_with_csm_is_contract_error(self, tiny_manifest, csm_checkpoint):
         cfg = pl.ModelConfig(**TINY, seed=3)
         first = pl.train(tiny_manifest, cfg,
                          pl.TrainSettings(batch=4, lr=1e-3, steps=1, val_every=0))
-        resume = pl.LoadedCheckpoint(first.state, first.optimizer, first.rng, first.history)
         with pytest.raises(ContractError, match="csm="):
             pl.train(tiny_manifest, cfg, pl.TrainSettings(batch=4, lr=1e-3, steps=2, val_every=0),
-                     resume=resume, csm=pl.load_pretrained_csm(csm_checkpoint)[0])
+                     resume=first, csm=pl.load_pretrained_csm(csm_checkpoint)[0])
 
     @pytest.mark.parametrize("history", [None, {"loss": [0.5]}, {"val": []}],
                              ids=["none", "no-val", "no-loss"])
@@ -425,7 +444,7 @@ class TestPersistence:
         matrix, rec, losses = pretrain_csm(corpus, 0.25, epochs=2, lr=1e-3,
                                            block_size=4, width=4, seed=1)
         path = tmp_path / "csm.ckpt"
-        pl.save_pretrained_csm(path, matrix, rec, 0.25, losses)
+        pl.save_pretrained_csm(path, matrix, rec, losses)
         cfg = pl.ModelConfig(**TINY, seed=0)
         result = pl.train(tiny_manifest, cfg,
                           pl.TrainSettings(batch=2, lr=0.0, weight_decay=0.0,
@@ -433,6 +452,20 @@ class TestPersistence:
                           csm=pl.load_pretrained_csm(path)[0])
         assert np.array_equal(result.state.params["csm.phi"].data, matrix.matrix.data)
 
+    def test_csm_checkpoint_round_trips_at_its_reconstructor_ratio(self, tmp_path, rng):
+        from csiqa.sampling import pretrain_csm
+        corpus = [rng.random((8, 8)) for _ in range(2)]
+        matrix, rec, losses = pretrain_csm(corpus, 0.5, epochs=2, lr=1e-3,
+                                           block_size=4, width=4, seed=1)
+        path, again = tmp_path / "csm.ckpt", tmp_path / "again.ckpt"
+        pl.save_pretrained_csm(path, matrix, rec, losses)
+        loaded, loaded_rec, meta, history = pl.load_pretrained_csm(path)
+        assert meta["ratio"] == loaded_rec.ratio == 0.5 and history == {"loss": losses}
+        assert np.array_equal(loaded.matrix.data, matrix.matrix.data)
+        for name, t in rec.params.items():
+            assert np.array_equal(loaded_rec.params[name].data, t.data), name
+        pl.save_pretrained_csm(again, loaded, loaded_rec, history["loss"])
+        assert again.read_bytes() == path.read_bytes()
 
     @staticmethod
     def _rewrite(src, dst, edit):
@@ -444,8 +477,7 @@ class TestPersistence:
     def _with_optimizer(self, tmp_path):
         state = pl.init_model(pl.ModelConfig(**TINY))
         opt = nm.AdamState()
-        opt.ensure(list(state.params.values()))
-        opt.step = 1
+        nm.adam_step(state.params, opt, lr=0.0)  # zero moments under every name, step 1
         good = tmp_path / "good.ckpt"
         pl.save_model(good, state, opt, np.random.default_rng(0), {})
         return good
@@ -493,7 +525,7 @@ class TestPersistence:
         matrix, rec, losses = pretrain_csm(corpus, 0.25, epochs=2, lr=1e-3,
                                            block_size=4, width=4, seed=1)
         path = tmp_path / "csm.ckpt"
-        pl.save_pretrained_csm(path, matrix, rec, 0.25, losses)
+        pl.save_pretrained_csm(path, matrix, rec, losses)
         return path
 
     def test_csm_initialization_prints_nothing(self, csm_checkpoint, tiny_manifest, capsys):

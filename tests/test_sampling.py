@@ -181,7 +181,7 @@ class TestReconstructor:
         bias = rng.normal(size=16)
         rec.params["init.b"] = nm.Tensor(bias, requires_grad=True)
         grid = sp.BlockGrid(2, 2, 4)
-        meas = sp.MeasurementSet(nm.Tensor(np.zeros((4, 4))), grid, 0.25)
+        meas = sp.MeasurementSet(nm.Tensor(np.zeros((4, 4))), grid)
         out = sp.csnet_reconstruct(rec, meas)
         expected = merge_blocks(np.tile(bias, (4, 1)), grid)
         assert np.max(np.abs(out.data - expected)) <= 1e-12
@@ -192,7 +192,7 @@ class TestReconstructor:
         rec = sp.init_reconstructor(4, 0.25, rng, width=4)
         grid = sp.BlockGrid(2, 3, 4)
         values = rng.normal(size=(6, 4))
-        out = sp.csnet_reconstruct(rec, sp.MeasurementSet(nm.Tensor(values), grid, 0.25))
+        out = sp.csnet_reconstruct(rec, sp.MeasurementSet(nm.Tensor(values), grid))
         blocks = values @ rec.params["init.w"].data + rec.params["init.b"].data
         assert np.array_equal(out.data, merge_blocks(blocks, grid))
 
@@ -219,7 +219,7 @@ class TestReconstructor:
 
     def test_ratio_mismatch_rejected(self, rng):
         rec = sp.init_reconstructor(4, 0.25, rng)
-        meas = sp.MeasurementSet(nm.Tensor(np.zeros((4, 8))), sp.BlockGrid(2, 2, 4), 0.5)
+        meas = sp.MeasurementSet(nm.Tensor(np.zeros((4, 8))), sp.BlockGrid(2, 2, 4))
         with pytest.raises(ContractError):
             sp.csnet_reconstruct(rec, meas)
 
@@ -266,11 +266,11 @@ def reference_pretrain(corpus, ratio, epochs, lr, block_size, width, seed):
     recon_rng = np.random.default_rng(np.random.SeedSequence([seed, 11, 1]))
     matrix = sp.random_sampling_matrix(block_size, matrix_rng)
     rec = sp.init_reconstructor(block_size, ratio, recon_rng, width=width)
-    params = [matrix.matrix] + list(rec.params.values())
+    params = {"csm.phi": matrix.matrix, **{f"csnet.{n}": t for n, t in rec.params.items()}}
     state = nm.AdamState()
     losses = []
     for _ in range(epochs):
-        for t in params:
+        for t in params.values():
             t.zero_grad()
         with nm.GradTape() as tape:
             total = nm.Tensor(0.0)
@@ -282,7 +282,7 @@ def reference_pretrain(corpus, ratio, epochs, lr, block_size, width, seed):
             loss = nm.mul(total, nm.Tensor(1.0 / len(corpus)))
         losses.append(loss.item())
         tape.backward(loss)
-        nm.adam_step(params, [t.grad for t in params], state, lr=lr)
+        nm.adam_step(params, state, lr=lr)
     return matrix, rec, losses
 
 
