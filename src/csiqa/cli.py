@@ -211,11 +211,11 @@ def cmd_train(s: dict) -> int:
     settings = TrainSettings(**{k: s[k] for k in _OPTIMIZER_KEYS}, steps=s["steps"] or None)
     csm = None
     if s["csm"] is not None:
-        csm, _, csm_meta, _ = load_pretrained_csm(s["csm"])
+        csm, csm_rec, _ = load_pretrained_csm(s["csm"])
     result = train(records, cfg, settings, csm=csm)
     if csm is not None:
         print(f"# initialized sampling matrix from {s['csm']} "
-              f"(pretrained at ratio {csm_meta['ratio']})")
+              f"(pretrained at ratio {csm_rec.ratio})")
     if result.best is not None:
         best = result.best.history["val"][-1]
         rank = best["srcc"]

@@ -7,10 +7,17 @@ straight into the token width. Training follows the standard protocol
 batches of random crops, Adam on mean squared error against opinion
 scores); evaluation averages each image's score over seeded random crops
 and reports Pearson and Spearman correlations on the test split.
+
+Both checkpoint kinds, a model and a pretrained sampling module, have one
+writer and one reader, checked against the parameter table of the file's
+config: a loader accepts exactly what the writer writes (the config, each
+parameter, the optimizer step with both moments of every parameter or none
+of them, the RNG state and a history object) and nothing else.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import struct
@@ -351,6 +358,13 @@ class LoadedCheckpoint:
     rng: np.random.Generator | None
     history: dict
 
+    def copy(self) -> LoadedCheckpoint:
+        """An exact copy that shares no array, moment, RNG or history with it."""
+        params = {k: nm.Tensor(t.data.copy(), requires_grad=True)
+                  for k, t in self.state.params.items()}
+        return LoadedCheckpoint(ModelState(self.state.config, params),
+                                *copy.deepcopy((self.optimizer, self.rng, self.history)))
+
 
 @dataclass
 class TrainResult(LoadedCheckpoint):
@@ -377,15 +391,15 @@ def train(
     Each step draws a batch without replacement, one fresh random crop per
     drawn image, and (in arbitrary mode) one ratio for the whole batch; all
     randomness comes from a single checkpointed stream, so training resumed
-    from a record (a loaded checkpoint or an earlier result, as it is)
-    continues bit-identically; a resumed run must be given the config it was
-    trained with. A fresh run takes its sampling matrix from ``csm`` when one
-    is given. Returns the final record and, as its ``best``, a snapshot at
-    the lowest validation MSE seen by this call; a resumed run whose best
-    validation came before the resume has no snapshot, though
-    ``history["best_step"]`` still names that step. A non-finite loss raises
-    ``NumericalDivergenceError`` before its update, and so does a non-finite
-    parameter after the last update, by name.
+    from a record (a loaded checkpoint or an earlier result) continues
+    bit-identically on a copy, leaving the record as it was; a resumed run
+    must be given the config it was trained with. A fresh run takes its
+    sampling matrix from ``csm`` when one is given. Returns the final record
+    and, as its ``best``, a snapshot at the lowest validation MSE seen by
+    this call; a resumed run whose best validation came before the resume
+    has no snapshot, though ``history["best_step"]`` still names that step.
+    A non-finite loss raises ``NumericalDivergenceError`` before its update,
+    and so does a non-finite parameter after the last update, by name.
     """
     settings = settings or TrainSettings()
     train_recs, _ = split_records(records, cfg.seed)
@@ -397,8 +411,8 @@ def train(
     targets = [r.mos for r in train_recs]
 
     if resume is not None:
-        state, opt, rng = resume.state, resume.optimizer, resume.rng
-        history = resume.history
+        record = resume.copy()
+        state, opt, rng, history = record.state, record.optimizer, record.rng, record.history
         if opt is None or rng is None:
             raise ContractError("checkpoint has no optimizer/RNG state to resume from")
         if not all(isinstance(history.get(k), list) for k in ("loss", "val")):
@@ -465,10 +479,7 @@ def train(
             if mse < best_mse:
                 best_mse = mse
                 history["best_step"] = step + 1
-                params = {k: nm.Tensor(v.data.copy(), requires_grad=True)
-                          for k, v in state.params.items()}
-                best = LoadedCheckpoint(ModelState(state.config, params), None, None,
-                                        json.loads(json.dumps(history)))
+                best = LoadedCheckpoint(state, None, None, history).copy()
 
     nm.check_finite(state.params, f"step {len(history['loss'])}")
     return TrainResult(state, opt, rng, history, best)
@@ -482,154 +493,143 @@ def _json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _param_table(meta: dict) -> dict[str, tuple[int, ...]]:
+    """The parameters, by name and shape in file order, that a checkpoint's
+    ``meta/config`` declares: ``param_shapes`` of a model's config, or the
+    sampling matrix and ``reconstructor_shapes`` for a pretrained one."""
+    if meta["kind"] == "model":
+        return param_shapes(ModelConfig.from_dict(meta["config"]))
+    csnet = reconstructor_shapes(meta["block_size"], meta["ratio"], meta["width"])
+    side = meta["block_size"] ** 2
+    return {"csm.phi": (side, side), **{f"csnet.{name}": s for name, s in csnet.items()}}
+
+
 def _save(path, meta: dict, params: dict[str, nm.Tensor], history: dict,
           optimizer: nm.AdamState | None = None, rng: np.random.Generator | None = None) -> None:
-    """Write the blobs in file order: ``meta/config``, ``param/<name>`` per
-    tensor, the optimizer's step and ``opt/m/<name>``, ``opt/v/<name>``
-    moments once it has stepped, the RNG state, then ``meta/history``."""
+    """Write ``meta/config``, ``param/<name>`` per tensor, ``opt/step`` with
+    ``opt/m/<name>`` and ``opt/v/<name>`` once the optimizer has stepped, the
+    RNG state and ``meta/history``, in that order. Tensors off the table of
+    ``meta`` or a non-dict history raise ``ContractError`` before any write."""
+    table = list(_param_table(meta).items())
+    moments = {"opt/m": optimizer.m, "opt/v": optimizer.v} if optimizer and optimizer.m else {}
+    for group, arrays in {"param": params, **moments}.items():
+        given = [(name, a.shape) for name, a in arrays.items()]
+        if given != table:
+            raise ContractError(
+                f"{path}: {group} blobs {[e for e in given if e not in table] or given} are off "
+                f"the {meta['kind']} table, which needs {[e for e in table if e not in given]}")
+    if not isinstance(history, dict):
+        raise ContractError(f"{path}: history must be a dict, got {type(history).__name__}")
     blobs = [("meta/config", _json_bytes(meta))]
     blobs += [(f"param/{name}", array_to_bytes(t.data)) for name, t in params.items()]
-    if optimizer is not None and optimizer.m:
+    if moments:
         blobs.append(("opt/step", struct.pack("<Q", optimizer.step)))
         blobs += [(f"opt/m/{name}", array_to_bytes(m)) for name, m in optimizer.m.items()]
         blobs += [(f"opt/v/{name}", array_to_bytes(v)) for name, v in optimizer.v.items()]
     if rng is not None:
-        st = rng.bit_generator.state
-        payload = {
-            "bit_generator": st["bit_generator"],
-            "state": {k: int(v) for k, v in st["state"].items()},
-            "has_uint32": int(st["has_uint32"]),
-            "uinteger": int(st["uinteger"]),
-        }
-        blobs.append(("rng/train", _json_bytes(payload)))
+        blobs.append(("rng/train", _json_bytes(rng.bit_generator.state)))
     blobs.append(("meta/history", _json_bytes(history)))
     write_checkpoint(path, blobs)
 
 
-def save_model(
-    path,
-    state: ModelState,
-    optimizer: nm.AdamState | None = None,
-    rng: np.random.Generator | None = None,
-    history: dict | None = None,
-) -> None:
+def _load(path, kind: str):
+    """Read a ``kind`` checkpoint as (meta, params, optimizer, rng, history),
+    accepting exactly the blobs ``_save`` writes for the table of its config;
+    any other blob, and any missing or malformed one, is a
+    ``CheckpointFormatError`` naming it."""
+    blobs = dict(read_checkpoint(path))
+
+    def blob(name: str) -> bytes:
+        if name not in blobs:
+            raise CheckpointFormatError(f"{path}: missing blob {name}")
+        return blobs[name]
+
+    def json_blob(name: str):
+        try:
+            return json.loads(blob(name).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise CheckpointFormatError(f"{path}: blob {name} is not valid JSON: {e}") from None
+
+    def array_blob(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        payload = blob(name)
+        try:
+            data = array_from_bytes(payload)
+        except CheckpointFormatError as e:
+            raise CheckpointFormatError(f"{path}: blob {name}: {e}") from None
+        if data.shape != shape:
+            raise CheckpointFormatError(
+                f"{path}: blob {name} has shape {data.shape}, the config needs {shape}")
+        return data
+
+    meta = json_blob("meta/config")
+    found = meta.get("kind") if isinstance(meta, dict) else None
+    if found != kind:
+        raise CheckpointFormatError(f"{path}: checkpoint kind {found!r} is not {kind!r}")
+    try:
+        table = _param_table(meta)
+    except KeyError as e:
+        raise CheckpointFormatError(f"{path}: meta/config is missing key {e}") from None
+    except (TypeError, ValueError) as e:  # ContractError is a ValueError
+        label = "model" if kind == "model" else "pretraining"
+        raise CheckpointFormatError(f"{path}: invalid {label} config: {e}") from None
+    known = {"meta/config", "opt/step", "rng/train", "meta/history",
+             *(f"{group}/{name}" for group in ("param", "opt/m", "opt/v") for name in table)}
+    unknown = sorted(set(blobs) - known)
+    if unknown:
+        what = "parameter " if all(n.startswith("param/") for n in unknown) else ""
+        raise CheckpointFormatError(f"{path}: unexpected {what}blobs {unknown}")
+    params = {name: nm.Tensor(array_blob(f"param/{name}", shape), requires_grad=True)
+              for name, shape in table.items()}
+    optimizer = None
+    if any(name.startswith("opt/") for name in blobs):
+        if len(blob("opt/step")) != 8:
+            raise CheckpointFormatError(f"{path}: blob opt/step is not an 8-byte step count")
+        optimizer = nm.AdamState()
+        (optimizer.step,) = struct.unpack("<Q", blobs["opt/step"])
+        optimizer.m = {name: array_blob(f"opt/m/{name}", s) for name, s in table.items()}
+        optimizer.v = {name: array_blob(f"opt/v/{name}", s) for name, s in table.items()}
+    rng = None
+    if "rng/train" in blobs:
+        rng = np.random.Generator(np.random.PCG64())
+        try:
+            rng.bit_generator.state = json_blob("rng/train")
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointFormatError(
+                f"{path}: blob rng/train is not a PCG64 state: {e!r}") from None
+    history = json_blob("meta/history") if "meta/history" in blobs else {}
+    if not isinstance(history, dict):
+        raise CheckpointFormatError(f"{path}: blob meta/history is not a JSON object")
+    return meta, params, optimizer, rng, history
+
+
+def save_model(path, state: ModelState, optimizer: nm.AdamState | None = None,
+               rng: np.random.Generator | None = None, history: dict | None = None) -> None:
     _save(path, {"kind": "model", "config": state.config.to_dict()}, state.params,
           history or {}, optimizer, rng)
 
 
-def _json_blob(blobs: dict[str, bytes], name: str, path):
-    try:
-        return json.loads(blobs[name].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointFormatError(f"{path}: blob {name} is not valid JSON: {e}") from None
-
-
-def _meta_blob(blobs: dict[str, bytes], kind: str, path) -> dict:
-    """The ``meta/config`` object, which must declare checkpoint ``kind``."""
-    if "meta/config" not in blobs:
-        raise CheckpointFormatError(f"{path}: missing meta/config blob")
-    meta = _json_blob(blobs, "meta/config", path)
-    found = meta.get("kind") if isinstance(meta, dict) else None
-    if found != kind:
-        raise CheckpointFormatError(f"{path}: checkpoint kind {found!r} is not {kind!r}")
-    return meta
-
-
-def _array_blob(blobs: dict[str, bytes], name: str, shape: tuple[int, ...], path):
-    if name not in blobs:
-        raise CheckpointFormatError(f"{path}: missing blob {name}")
-    try:
-        data = array_from_bytes(blobs[name])
-    except CheckpointFormatError as e:
-        raise CheckpointFormatError(f"{path}: blob {name}: {e}") from None
-    if data.shape != shape:
-        raise CheckpointFormatError(
-            f"{path}: blob {name} has shape {data.shape}, the config needs {shape}")
-    return data
-
-
-def _param_blobs(blobs: dict[str, bytes], prefix: str, shapes: dict[str, tuple[int, ...]],
-                 path) -> dict[str, nm.Tensor]:
-    """The parameters stored under ``prefix``: exactly the names of
-    ``shapes``, each with its shape."""
-    extra = sorted(n for n in blobs if n.startswith(prefix) and n[len(prefix):] not in shapes)
-    if extra:
-        raise CheckpointFormatError(f"{path}: unexpected parameter blobs {extra}")
-    return {name: nm.Tensor(_array_blob(blobs, prefix + name, shape, path), requires_grad=True)
-            for name, shape in shapes.items()}
-
-
 def load_model(path) -> LoadedCheckpoint:
-    """Read a model checkpoint, checking its config and every parameter's
-    name and shape against ``param_shapes`` of that config."""
-    blobs = dict(read_checkpoint(path))
-    meta = _meta_blob(blobs, "model", path)
-    try:
-        cfg = ModelConfig.from_dict(meta.get("config"))
-        shapes = param_shapes(cfg)
-    except (TypeError, ValueError) as e:  # ContractError is a ValueError
-        raise CheckpointFormatError(f"{path}: invalid model config: {e}") from None
-    state = ModelState(cfg, _param_blobs(blobs, "param/", shapes, path))
-
-    optimizer = None
-    if "opt/step" in blobs:
-        optimizer = nm.AdamState()
-        try:
-            (optimizer.step,) = struct.unpack("<Q", blobs["opt/step"])
-        except struct.error:
-            raise CheckpointFormatError(
-                f"{path}: blob opt/step is not an 8-byte step count") from None
-        optimizer.m = {n: _array_blob(blobs, f"opt/m/{n}", s, path) for n, s in shapes.items()}
-        optimizer.v = {n: _array_blob(blobs, f"opt/v/{n}", s, path) for n, s in shapes.items()}
-
-    rng = None
-    if "rng/train" in blobs:
-        payload = _json_blob(blobs, "rng/train", path)
-        bit_gen = np.random.PCG64()
-        try:
-            bit_gen.state = payload
-        except (KeyError, TypeError, ValueError) as e:
-            raise CheckpointFormatError(
-                f"{path}: blob rng/train is not a PCG64 state: {e!r}") from None
-        rng = np.random.Generator(bit_gen)
-
-    history = _json_blob(blobs, "meta/history", path) if "meta/history" in blobs else {}
-    return LoadedCheckpoint(state, optimizer, rng, history)
+    """Read a model checkpoint (see ``_load``), a ``param_shapes`` table."""
+    meta, params, optimizer, rng, history = _load(path, "model")
+    return LoadedCheckpoint(ModelState(ModelConfig.from_dict(meta["config"]), params),
+                            optimizer, rng, history)
 
 
 def save_pretrained_csm(path, matrix, reconstructor, losses) -> None:
     """Checkpoint restricted to the sampling module's keys, at the
-    reconstructor's ratio."""
-    meta = {
-        "kind": "csm-pretrain",
-        "block_size": matrix.block_size,
-        "ratio": reconstructor.ratio,
-        "width": reconstructor.width,
-    }
+    reconstructor's ratio and the matrix's block size (which must agree)."""
+    meta = {"kind": "csm-pretrain", "block_size": matrix.block_size,
+            "ratio": reconstructor.ratio, "width": reconstructor.width}
     params = {"csm.phi": matrix.matrix,
               **{f"csnet.{name}": t for name, t in reconstructor.params.items()}}
     _save(path, meta, params, {"loss": list(losses)})
 
 
 def load_pretrained_csm(path):
-    """Read a pretrained sampling checkpoint, checking its meta keys and
-    every parameter's name and shape against ``reconstructor_shapes`` of
-    that geometry."""
-    blobs = dict(read_checkpoint(path))
-    meta = _meta_blob(blobs, "csm-pretrain", path)
-    missing = [k for k in ("block_size", "ratio", "width") if k not in meta]
-    if missing:
-        raise CheckpointFormatError(f"{path}: meta/config is missing keys {missing}")
-    block_size = meta["block_size"]
-    try:
-        shapes = reconstructor_shapes(block_size, meta["ratio"], meta["width"])
-    except (TypeError, ValueError) as e:  # ContractError is a ValueError
-        raise CheckpointFormatError(f"{path}: invalid pretraining config: {e}") from None
-    side = block_size * block_size
-    params = _param_blobs(blobs, "param/", {"csm.phi": (side, side),
-                                            **{f"csnet.{n}": s for n, s in shapes.items()}}, path)
-    matrix = SamplingMatrix(params.pop("csm.phi"), block_size)
-    rec = CsnetReconstructor(block_size, meta["ratio"], meta["width"],
+    """Read a pretrained sampling checkpoint (see ``_load``) as (matrix,
+    reconstructor, history)."""
+    meta, params, _, _, history = _load(path, "csm-pretrain")
+    matrix = SamplingMatrix(params.pop("csm.phi"), meta["block_size"])
+    rec = CsnetReconstructor(meta["block_size"], meta["ratio"], meta["width"],
                              {n.removeprefix("csnet."): t for n, t in params.items()})
-    history = _json_blob(blobs, "meta/history", path) if "meta/history" in blobs else {}
-    return matrix, rec, meta, history
+    return matrix, rec, history

@@ -67,7 +67,7 @@ class TestPretrain:
         assert os.path.exists(out)
         captured = capsys.readouterr().out
         assert "# csiqa pretrain" in captured
-        _, _, meta, history = load_pretrained_csm(out)
+        _, _, history = load_pretrained_csm(out)
         assert history["loss"][-1] < history["loss"][0]
 
     def test_zero_ratio_is_usage_error(self, toyset, tmp_path, capsys):
@@ -81,7 +81,7 @@ class TestPretrain:
         code = main(["pretrain", "--corpus", toyset["corpus"], "--ratio", "0.5",
                      "--out", out, "--epochs", "0", "--seed", "9"])
         assert code == 0
-        matrix, _, _, _ = load_pretrained_csm(out)
+        matrix, _, _ = load_pretrained_csm(out)
         fresh_rng = np.random.default_rng(np.random.SeedSequence([9, 11, 0]))
         fresh = random_sampling_matrix(4, fresh_rng)
         assert np.array_equal(matrix.matrix.data, fresh.matrix.data)
@@ -332,6 +332,16 @@ class TestBadCheckpoint:
         write_checkpoint(bad, blobs)
         code, err = self._score(toyset, bad, capsys)
         assert code == 2 and "param/csm.phi" in err
+
+    def test_eval_on_stray_blob_exits_2(self, toyset, trained_ckpt, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        write_checkpoint(bad, [*read_checkpoint(trained_ckpt),
+                               ("opt/m/stray", array_to_bytes(np.zeros(2)))])
+        code = main(["eval", "--manifest", toyset["manifest"], "--ckpt", str(bad),
+                     "--crops", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and "opt/m/stray" in captured.err and "Traceback" not in captured.err
+        assert "PLCC=" not in captured.out
 
     @pytest.mark.parametrize("kind", ["model", "csm-pretrain"])
     def test_geometry_only_file_exits_2(self, kind, toyset, tmp_path, capsys):

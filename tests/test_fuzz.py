@@ -133,18 +133,26 @@ def score_inputs(workdir):
     return blobs, str(image)
 
 
-# One edit of a checkpoint: a blob's new name, new payload, or one payload
-# byte replaced (index, position and byte wrap around).
+# One edit of a checkpoint: a blob's new name, new payload, one payload
+# byte replaced, or a new blob inserted under a generated name, often in a
+# group the loaders know (index, position and byte wrap around).
+blob_names = st.builds(lambda group, rest: group + rest,
+                       st.sampled_from([b"", b"param/", b"opt/", b"opt/m/", b"rng/", b"meta/"]),
+                       st.binary(max_size=12))
 edits = st.one_of(
     st.tuples(st.just("name"), st.integers(0, 99), st.binary(max_size=16)),
     st.tuples(st.just("payload"), st.integers(0, 99), st.binary(max_size=40)),
     st.tuples(st.just("byte"), st.integers(0, 99), st.integers(0, 2**16), st.integers(0, 255)),
+    st.tuples(st.just("insert"), st.integers(0, 99), blob_names, st.binary(max_size=40)),
 )
 
 
 def apply_edit(blobs, edit):
     blobs = list(blobs)
     kind, index, *args = edit
+    if kind == "insert":
+        blobs.insert(index % (len(blobs) + 1), tuple(args))
+        return frame_checkpoint(blobs)
     name, payload = blobs[index % len(blobs)]
     if kind == "name":
         name = args[0]
@@ -244,8 +252,8 @@ def test_load_pretrained_csm(workdir, csm_blobs, data):
     loaded = parse_file(workdir / "p.ckpt", data.draw(csm_checkpoints(csm_blobs)),
                         load_pretrained_csm)
     if loaded is not None:
-        matrix, rec, meta, _ = loaded
-        side = meta["block_size"] ** 2
+        matrix, rec, _ = loaded
+        side = rec.block_size ** 2
         assert matrix.matrix.shape == (side, side)
-        shapes = reconstructor_shapes(meta["block_size"], meta["ratio"], meta["width"])
+        shapes = reconstructor_shapes(rec.block_size, rec.ratio, rec.width)
         assert {name: t.shape for name, t in rec.params.items()} == shapes

@@ -19,7 +19,7 @@ from csiqa.errors import (
     ShapeError,
 )
 from csiqa.head import score as head_score
-from csiqa.sampling import split_blocks
+from csiqa.sampling import init_reconstructor, random_sampling_matrix, split_blocks
 
 from conftest import (
     SCIPY_MODULES,
@@ -341,6 +341,23 @@ class TestPersistence:
             assert np.array_equal(resumed.state.params[name].data,
                                   straight.state.params[name].data), name
 
+    def test_resume_leaves_its_record_unchanged(self, tiny_manifest):
+        cfg = pl.ModelConfig(**TINY, seed=3)
+        first = pl.train(tiny_manifest, cfg,
+                         pl.TrainSettings(batch=4, lr=1e-3, steps=2, val_every=0))
+        params = {name: t.data.copy() for name, t in first.state.params.items()}
+        moments = {name: m.copy() for name, m in first.optimizer.m.items()}
+        rng_state = first.rng.bit_generator.state  # a fresh dict, not a view
+        second = pl.train(tiny_manifest, cfg,
+                          pl.TrainSettings(batch=4, lr=1e-3, steps=4, val_every=0), resume=first)
+        assert len(first.history["loss"]) == 2 and len(second.history["loss"]) == 4
+        assert first.optimizer.step == 2 and second.optimizer.step == 4
+        assert first.rng.bit_generator.state == rng_state
+        for name, data in params.items():
+            assert np.array_equal(first.state.params[name].data, data), name
+            assert np.array_equal(first.optimizer.m[name], moments[name]), name
+            assert first.state.params[name].data is not second.state.params[name].data
+
     def test_resume_with_validation_keeps_history_but_not_an_earlier_best(self, tiny_manifest):
         # the best validation (step 6) comes before the resume, so the
         # resumed call, whose own validations never beat it, has no snapshot
@@ -459,8 +476,8 @@ class TestPersistence:
                                            block_size=4, width=4, seed=1)
         path, again = tmp_path / "csm.ckpt", tmp_path / "again.ckpt"
         pl.save_pretrained_csm(path, matrix, rec, losses)
-        loaded, loaded_rec, meta, history = pl.load_pretrained_csm(path)
-        assert meta["ratio"] == loaded_rec.ratio == 0.5 and history == {"loss": losses}
+        loaded, loaded_rec, history = pl.load_pretrained_csm(path)
+        assert loaded_rec.ratio == 0.5 and history == {"loss": losses}
         assert np.array_equal(loaded.matrix.data, matrix.matrix.data)
         for name, t in rec.params.items():
             assert np.array_equal(loaded_rec.params[name].data, t.data), name
@@ -482,7 +499,7 @@ class TestPersistence:
         pl.save_model(good, state, opt, np.random.default_rng(0), {})
         return good
 
-    @pytest.mark.parametrize("blob", ["opt/m/head.score.w1", "opt/v/head.score.w1"])
+    @pytest.mark.parametrize("blob", ["opt/m/head.score.w1", "opt/v/head.score.w1", "opt/step"])
     def test_missing_moment_blob_is_format_error(self, tmp_path, blob):
         bad = tmp_path / "bad.ckpt"
         self._rewrite(self._with_optimizer(tmp_path), bad,
@@ -517,6 +534,54 @@ class TestPersistence:
                       lambda name, blob: pl._json_bytes(payload) if name == "rng/train" else blob)
         with pytest.raises(CheckpointFormatError, match="rng/train"):
             pl.load_model(bad)
+
+    @pytest.mark.parametrize("kind", ["model", "csm-pretrain"])
+    @pytest.mark.parametrize("blob", ["opt/m/stray", "opt/junk", "rng/other", "meta/extra"])
+    def test_unknown_blob_is_format_error(self, tmp_path, rng, kind, blob):
+        # the model file holds an optimizer and RNG, so opt/m/stray sits
+        # beside real moments
+        if kind == "model":
+            good = self._with_optimizer(tmp_path)
+        else:
+            good = tmp_path / "csm.ckpt"
+            pl.save_pretrained_csm(good, random_sampling_matrix(4, rng),
+                                   init_reconstructor(4, 0.25, rng, width=4), [0.5])
+        bad = tmp_path / "bad.ckpt"
+        write_checkpoint(bad, [*read_checkpoint(good), (blob, array_to_bytes(np.zeros(2)))])
+        load = {"model": pl.load_model, "csm-pretrain": pl.load_pretrained_csm}[kind]
+        with pytest.raises(CheckpointFormatError, match=rf"unexpected blobs \['{blob}'\]"):
+            load(bad)
+
+    @pytest.mark.parametrize("history", [b"[1,2]", b"0.5", b"null"],
+                             ids=["list", "number", "null"])
+    def test_history_that_is_not_an_object_is_format_error(self, tmp_path, tiny_manifest,
+                                                           history):
+        cfg = pl.ModelConfig(**TINY, seed=3)
+        first = pl.train(tiny_manifest, cfg,
+                         pl.TrainSettings(batch=4, lr=1e-3, steps=1, val_every=0))
+        good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+        pl.save_model(good, first.state, first.optimizer, first.rng, first.history)
+        self._rewrite(good, bad, lambda name, blob: history if name == "meta/history" else blob)
+        with pytest.raises(CheckpointFormatError, match="meta/history is not a JSON object"):
+            pl.load_model(bad)
+
+    def test_writer_rejects_tensors_off_its_table(self, tmp_path, rng):
+        # a block-2 matrix declares a block-2 table, which a block-4
+        # reconstructor's csnet.* blobs do not fit
+        path = tmp_path / "csm.ckpt"
+        with pytest.raises(ContractError, match=r"param blobs \[\('csnet.init.w', \(4, 16\)\)"):
+            pl.save_pretrained_csm(path, random_sampling_matrix(2, rng),
+                                   init_reconstructor(4, 0.25, rng, width=4), [0.5])
+        assert not path.exists()
+        state = pl.init_model(pl.ModelConfig(**TINY))
+        opt = nm.AdamState()
+        nm.adam_step(state.params, opt, lr=0.0)
+        del opt.v["aem.pos"]
+        with pytest.raises(ContractError, match=r"opt/v blobs .* needs \[\('aem.pos'"):
+            pl.save_model(path, state, opt)
+        with pytest.raises(ContractError, match="history must be a dict"):
+            pl.save_model(path, state, history=[1, 2])
+        assert not path.exists()
 
     @pytest.fixture
     def csm_checkpoint(self, tmp_path, rng):
