@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import center_crop, generate_toy_dataset, read_manifest, read_utf8, split_records
+from .data import center_crop, generate_toy_dataset, read_manifest, read_utf8
 from .errors import CheckpointError, ContractError, NumericalDivergenceError
 from .head import weight_map
 from .pipeline import (
@@ -234,10 +234,9 @@ def cmd_eval(s: dict) -> int:
     loaded = load_model(s["ckpt"])
     result = evaluate(records, loaded.state, ratio=s["ratio"], n_crops=s["crops"], seed=s["seed"])
     if s["report"]:
-        _, test = split_records(records, loaded.state.config.seed)
         with open(s["report"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write("path,mos,score\n")
-            for rec, sc in zip(test, result["scores"]):
+            for rec, sc in zip(result["records"], result["scores"]):
                 fh.write(f"{rec.path},{rec.mos!r},{sc!r}\n")
         print(f"wrote report {s['report']}")
     print(f"PLCC={result['plcc']:.6f} SRCC={result['srcc']:.6f}")

@@ -115,14 +115,19 @@ def carve_validation(
 # Crops and padding
 # ---------------------------------------------------------------------------
 
-def pad_to_size(img: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Reflect-pad bottom/right up to at least (height, width)."""
-    h, w = img.shape
-    ph, pw = max(0, height - h), max(0, width - w)
+def pad_bottom_right(img: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """The one padding rule, for crops and block grids alike: ``ph`` rows below and
+    ``pw`` columns right, reflected when both sides exceed one pixel, else edge."""
     if ph == 0 and pw == 0:
         return img
-    mode = "reflect" if min(h, w) > 1 else "edge"
-    return np.pad(img, ((0, ph), (0, pw)), mode=mode)
+    mode = "reflect" if min(img.shape[-2:]) > 1 else "edge"
+    return np.pad(img, ((0, 0),) * (img.ndim - 2) + ((0, ph), (0, pw)), mode=mode)
+
+
+def pad_to_size(img: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Pad bottom/right up to at least (height, width) (``pad_bottom_right``)."""
+    h, w = img.shape
+    return pad_bottom_right(img, max(0, height - h), max(0, width - w))
 
 
 def random_crop(img: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:

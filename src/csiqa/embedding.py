@@ -42,15 +42,16 @@ def bypass_embed(meas: MeasurementSet, embed_dim: int) -> nm.Tensor:
 
 
 def add_position(tokens: nm.Tensor, table: nm.Tensor) -> nm.Tensor:
-    """Add the first L rows of the (capacity, d) positional table to L tokens.
+    """Add the (L, d) positional table, row for row, to L tokens.
 
-    ``tokens`` is (L, d) or (N, L, d); the table broadcasts over N.
+    ``tokens`` is (L, d) or (N, L, d); the table broadcasts over N. A token
+    count other than the table's row count is a ``ContractError``: each row
+    belongs to one cell of the trained token grid.
     """
     n = tokens.shape[-2]
-    capacity, width = table.shape
-    if n > capacity:
-        raise ContractError(f"{n} tokens exceed positional capacity {capacity}")
+    rows, width = table.shape
+    if n != rows:
+        raise ContractError(f"{n} tokens for a positional table of {rows} rows")
     if tokens.shape[-1] != width:
         raise ShapeError(f"token width {tokens.shape[-1]} != positional width {width}")
-    rows = nm.slice_rows(table, 0, n) if n < capacity else table
-    return nm.add(tokens, rows)
+    return nm.add(tokens, table)

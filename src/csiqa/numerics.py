@@ -336,19 +336,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 # Structural ops (slicing, gathering, concatenation)
 # ---------------------------------------------------------------------------
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.ndim != 2 or not (0 <= start < stop <= x.shape[0]):
-        raise ShapeError(f"row slice [{start}:{stop}] invalid for shape {x.shape}")
-
-    def backprop(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[start:stop] = g
-            _accumulate(x, full)
-
-    return _make(x.data[start:stop].copy(), (x,), backprop)
-
-
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     if x.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
         raise ShapeError(f"column slice [{start}:{stop}] invalid for shape {x.shape}")

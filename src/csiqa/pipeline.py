@@ -36,7 +36,6 @@ from .data import (
     ManifestRecord,
     carve_validation,
     load_images,
-    pad_to_size,
     random_crop,
     split_records,
 )
@@ -213,8 +212,10 @@ def forward(imgs: np.ndarray, state: ModelState, ratio: float | None = None):
     ``imgs`` is (N, H, W), or one (H, W) image as the N=1 case. Returns
     ((N,) score tensor, diagnostics dict); the diagnostics hold (N, L)
     per-token scores and weights. Images are padded to a multiple of the
-    block size; their token count must fit the positional table and their
-    token grid must be divisible by the attention window.
+    block size, and the padded token grid must be the trained
+    ``grid_side`` x ``grid_side`` one, whose cells the positional table
+    holds; any other raises ``ContractError``. ``predict_image`` scores an
+    image of any size through crops of the trained size.
     """
     cfg = state.config
     if ratio is None:
@@ -223,6 +224,12 @@ def forward(imgs: np.ndarray, state: ModelState, ratio: float | None = None):
         ratio = cfg.ratio
     matrix = SamplingMatrix(state.params["csm.phi"], cfg.block_size)
     meas = sample(matrix, imgs, ratio)
+    grid, side = meas.grid, cfg.grid_side
+    if (grid.blocks_h, grid.blocks_w) != (side, side):
+        raise ContractError(
+            f"image pads to a {grid.blocks_h}x{grid.blocks_w} token grid; the model scores "
+            f"only its trained {side}x{side} grid ({cfg.crop_size}-pixel crops): "
+            f"score other sizes with predict_image, which crops them")
     if cfg.variant == "cl-iqa":
         tokens = embed(state.params["aem.embed"], meas)
     else:
@@ -249,22 +256,21 @@ def forward(imgs: np.ndarray, state: ModelState, ratio: float | None = None):
 def predict_image(
     img: np.ndarray,
     state: ModelState,
-    ratio: float | None = None,
-    n_crops: int = 5,
-    rng: np.random.Generator | None = None,
+    ratio: float | None,
+    n_crops: int,
+    rng: np.random.Generator,
 ) -> float:
-    """Mean score over seeded random crops (the five-crop protocol).
+    """Mean score over random crops of the trained size (the five-crop protocol).
 
-    The crops are drawn in order from ``rng`` and scored as one batched
-    forward; their scores are summed in crop order.
+    ``random_crop`` pads an image smaller than the crop. The crops are drawn
+    in order from ``rng`` (``predict_records`` gives image i ``[seed, 3, i]``)
+    and scored as one batched forward; their scores are summed in crop order.
     """
     if n_crops < 1:
         raise ContractError(f"crops must be a positive integer, got {n_crops}")
-    cfg = state.config
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
-    img = pad_to_size(np.asarray(img, dtype=np.float64), cfg.crop_size, cfg.crop_size)
-    crops = np.stack([random_crop(img, cfg.crop_size, rng) for _ in range(n_crops)])
+    size = state.config.crop_size
+    img = np.asarray(img, dtype=np.float64)
+    crops = np.stack([random_crop(img, size, rng) for _ in range(n_crops)])
     pooled, _ = forward(crops, state, ratio)
     total = 0.0
     for score in pooled.data.tolist():  # not sum(): it compensates from Python 3.12
@@ -299,7 +305,8 @@ def evaluate(
     n_crops: int = 5,
     seed: int | None = None,
 ) -> dict:
-    """Correlations on the seeded test split of a full manifest."""
+    """Correlations on the seeded test split of a full manifest, with the
+    test records scored, their scores and their opinion scores."""
     _, test = split_records(records, state.config.seed)
     scores = predict_records(test, state, ratio, n_crops, seed)
     bad = np.flatnonzero(~np.isfinite(scores))
@@ -311,6 +318,7 @@ def evaluate(
     return {
         "plcc": plcc(scores, mos),
         "srcc": srcc(scores, mos),
+        "records": test,
         "scores": scores,
         "mos": mos,
         "n_images": len(test),
@@ -338,7 +346,7 @@ class TrainSettings:
     def __post_init__(self):
         if self.batch < 1:
             raise ContractError(f"batch must be a positive integer, got {self.batch}")
-        for name in ("steps", "epochs", "lr", "weight_decay"):
+        for name in ("steps", "epochs", "val_every", "lr", "weight_decay"):
             value = getattr(self, name)
             # NaN passes: a non-finite update is a divergence, not an input error
             if value is not None and value < 0:

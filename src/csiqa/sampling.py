@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
+from .data import pad_bottom_right
 from .errors import ContractError, ShapeError
 from .gridops import conv3x3
 
@@ -105,7 +106,7 @@ def gaussian_sampling_matrix(block_size: int, rng: np.random.Generator) -> Sampl
 
 
 def pad_to_blocks(img: np.ndarray, block_size: int) -> np.ndarray:
-    """Reflect-pad bottom/right so both extents are multiples of B.
+    """Pad bottom/right so both extents are multiples of B (``pad_bottom_right``).
 
     Takes one (H, W) image or a stack of N same-sized images (N, H, W).
     """
@@ -116,12 +117,7 @@ def pad_to_blocks(img: np.ndarray, block_size: int) -> np.ndarray:
         raise ShapeError(
             f"expected a single-channel (H, W) image or (N, H, W) stack, got shape {img.shape}")
     h, w = img.shape[-2:]
-    ph = (-h) % block_size
-    pw = (-w) % block_size
-    if ph == 0 and pw == 0:
-        return img
-    mode = "reflect" if min(h, w) > 1 else "edge"
-    return np.pad(img, ((0, 0),) * (img.ndim - 2) + ((0, ph), (0, pw)), mode=mode)
+    return pad_bottom_right(img, (-h) % block_size, (-w) % block_size)
 
 
 def split_blocks(img: np.ndarray, block_size: int) -> tuple[np.ndarray, BlockGrid]:

@@ -8,11 +8,13 @@ import pytest
 
 from csiqa.checkpoint import array_to_bytes, read_checkpoint, write_checkpoint
 from csiqa.cli import COMMANDS, SETTINGS, main
-from csiqa.data import generate_toy_dataset
+from csiqa.data import ManifestRecord, generate_toy_dataset, read_manifest
 from csiqa.pipeline import (
     ModelConfig,
+    evaluate,
     load_model,
     load_pretrained_csm,
+    predict_records,
     save_model,
     save_pretrained_csm,
 )
@@ -208,11 +210,15 @@ class TestEval:
     def test_report_csv(self, toyset, trained_ckpt, tmp_path, capsys):
         report = str(tmp_path / "report.csv")
         code = main(["eval", "--manifest", toyset["manifest"], "--ckpt", trained_ckpt,
-                     "--crops", "2", "--report", report])
+                     "--crops", "2", "--report", report, "--seed", "0"])
         assert code == 0
         lines = open(report, encoding="utf-8").read().splitlines()
         assert lines[0] == "path,mos,score"
         assert len(lines) > 1
+        result = evaluate(read_manifest(toyset["manifest"]), load_model(trained_ckpt).state,
+                          None, 2, seed=0)
+        assert lines[1:] == [f"{r.path},{r.mos!r},{sc!r}"
+                             for r, sc in zip(result["records"], result["scores"])]
 
     def test_crop_count_changes_report_deterministically(self, toyset, trained_ckpt, tmp_path, capsys):
         reports = {}
@@ -257,6 +263,15 @@ class TestScore:
         assert main(["score", "--image", toyset["image"], "--ckpt", trained_ckpt,
                      "--seed", "7"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_prints_the_score_predict_records_gives(self, toyset, trained_ckpt, capsys):
+        # score and eval draw one crop stream: image i of a list gets [seed, 3, i]
+        assert main(["score", "--image", toyset["image"], "--ckpt", trained_ckpt,
+                     "--seed", "7"]) == 0
+        printed = capsys.readouterr().out.splitlines()[-1]
+        [expected] = predict_records([ManifestRecord(toyset["image"], 0.0)],
+                                     load_model(trained_ckpt).state, seed=7)
+        assert printed == f"{expected:.10g}"
 
     def test_weight_map_file_valid_p5(self, toyset, trained_ckpt, tmp_path, capsys):
         wm = str(tmp_path / "wm.pgm")

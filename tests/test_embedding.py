@@ -60,22 +60,24 @@ class TestEmbed:
 
 class TestAddPosition:
     def test_zero_table_is_identity(self, rng):
-        t = rng.random((3, 4))
+        t = rng.random((8, 4))
         pos = nm.Tensor(np.zeros((8, 4)))
         assert np.array_equal(em.add_position(nm.Tensor(t), pos).data, t)
 
-    def test_zero_tokens_give_table_prefix(self, rng):
-        table = rng.random((8, 4))
-        pos = nm.Tensor(table)
-        out = em.add_position(nm.Tensor(np.zeros((3, 4))), pos)
-        assert np.array_equal(out.data, table[:3])
+    def test_token_count_must_equal_table_rows(self):
+        # each row is one cell of the trained grid: no prefix of the table is added
+        pos = nm.Tensor(np.zeros((8, 4)))
+        for n in (3, 5):
+            with pytest.raises(ContractError) as e:
+                em.add_position(nm.Tensor(np.zeros((n, 4))), pos)
+            assert f"{n} tokens" in str(e.value) and "8 rows" in str(e.value)
 
     def test_additive_and_invertible(self, rng):
         table = rng.random((8, 4))
-        tokens = rng.random((5, 4))
+        tokens = rng.random((8, 4))
         pos = nm.Tensor(table)
         out = em.add_position(nm.Tensor(tokens), pos)
-        assert np.max(np.abs((out.data - tokens) - table[:5])) <= 1e-15
+        assert np.max(np.abs((out.data - tokens) - table)) <= 1e-15
 
     def test_capacity_error_names_both(self):
         pos = nm.Tensor(np.zeros((2, 4)))

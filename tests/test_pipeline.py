@@ -147,6 +147,20 @@ class TestForward:
         state.params = {**state.params, "head.score.b2": bias}
         assert pl.forward(img, state, 0.5)[0].item() == before.item()
 
+    @pytest.mark.parametrize("shape", [(16, 16), (64, 16), (8, 128)])
+    def test_only_the_trained_grid_is_scored(self, shape):
+        state = pl.init_model(pl.ModelConfig(seed=4))  # desk default, 8x8 grid
+        grid = f"{shape[0] // 4}x{shape[1] // 4} token grid"
+        with pytest.raises(ContractError, match=f"{grid}.*trained 8x8 grid.*32-pixel"
+                                                f".*predict_image"):
+            pl.forward(np.zeros(shape), state, 0.1)
+
+    def test_side_that_pads_to_the_crop_scores_as_its_padded_image(self, rng):
+        state = pl.init_model(pl.ModelConfig(seed=4))
+        img = rng.random((30, 30))
+        padded = np.pad(img, ((0, 2), (0, 2)), mode="reflect")
+        assert pl.forward(img, state, 0.1)[0].item() == pl.forward(padded, state, 0.1)[0].item()
+
     def test_weight_map_reacts_to_half_noised_image(self, rng):
         from csiqa.head import weight_map
         cfg = pl.ModelConfig(seed=4)  # desk default, 32x32 crop, 8x8 grid
@@ -277,7 +291,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("field,value", [
         ("batch", 0), ("batch", -3), ("steps", -1), ("epochs", -1),
-        ("lr", -1.0), ("weight_decay", -1.0),
+        ("val_every", -1), ("val_every", -3), ("lr", -1.0), ("weight_decay", -1.0),
     ])
     def test_out_of_range_counts_rejected(self, field, value):
         with pytest.raises(ContractError, match=field):
@@ -675,7 +689,7 @@ class TestEvaluation:
     def test_predict_image_needs_a_crop(self, n_crops):
         state = pl.init_model(pl.ModelConfig(**TINY, seed=0))
         with pytest.raises(ContractError, match="crops"):
-            pl.predict_image(np.zeros((12, 12)), state, 0.5, n_crops)
+            pl.predict_image(np.zeros((12, 12)), state, 0.5, n_crops, np.random.default_rng(0))
 
     def test_five_crop_prediction_deterministic(self, tiny_manifest):
         cfg = pl.ModelConfig(**TINY, seed=0)
