@@ -9,7 +9,6 @@ import numpy as np
 
 from csiqa import numerics as nm
 from csiqa.sampling import (
-    SamplingMatrix,
     measurement_count,
     random_sampling_matrix,
     sample,
@@ -45,7 +44,7 @@ b = sample_conv(matrix, img, 0.3).values.data
 print(f"conv route max deviation from matrix route: {np.max(np.abs(a - b)):.2e}")
 
 # sampling is differentiable with respect to the matrix
-mat = SamplingMatrix(nm.Tensor(matrix.matrix.data.copy(), requires_grad=True), 4)
+mat = nm.Tensor(matrix.data.copy(), requires_grad=True)
 with nm.GradTape() as tape:
     meas = sample(mat, img, 0.25)
     loss = nm.mean_all(nm.mul(meas.values, meas.values))
@@ -53,4 +52,4 @@ tape.backward(loss)
 used_rows = measurement_count(4, 0.25)
 print(f"gradient reaches the first {used_rows} rows; "
       f"rows beyond the truncation stay zero: "
-      f"{np.allclose(mat.matrix.grad[used_rows:], 0.0)}")
+      f"{np.allclose(mat.grad[used_rows:], 0.0)}")

@@ -25,7 +25,7 @@ learned_m, learned_rec, losses = pretrain_csm(
 print(f"loss: {losses[0]:.5f} (epoch 0) -> {losses[-1]:.5f} (epoch {len(losses) - 1})")
 
 frozen = gaussian_sampling_matrix(4, np.random.default_rng(7))
-frozen.matrix.requires_grad = False
+frozen.requires_grad = False
 frozen_m, frozen_rec, _ = pretrain_csm(
     corpus, ratio, epochs=epochs, lr=lr, block_size=4, width=16, seed=0,
     matrix=frozen, train_matrix=False)

@@ -32,7 +32,6 @@ from .pnm import read_image, write_pgm
 from .sampling import (
     BlockGrid,
     MeasurementSet,
-    SamplingMatrix,
     csnet_reconstruct,
     measurement_count,
     pretrain_csm,

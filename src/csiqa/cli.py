@@ -109,13 +109,15 @@ _KINDS = {int: "an integer", float: "a number", _ratio: "a number in (0, 1]",
 
 
 class Command(NamedTuple):
-    """One subcommand: the settings it takes with their defaults, and its
-    path flags (name -> (required, help); flag-only, not config keys)."""
+    """One subcommand: the settings it takes with their defaults, its path
+    flags (name -> (required, help); flag-only, not config keys) and the
+    one naming the file it writes after its work, if any."""
 
     run: Callable[[dict], int]
     help: str
     settings: dict
     paths: dict
+    output: str | None  # its directory must exist before the work starts
     rows: dict = {}  # SETTINGS rows this subcommand replaces
 
     def row(self, key: str) -> tuple:
@@ -237,7 +239,7 @@ def cmd_eval(s: dict) -> int:
         with open(s["report"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write("path,mos,score\n")
             for rec, sc in zip(result["records"], result["scores"]):
-                fh.write(f"{rec.path},{rec.mos!r},{sc!r}\n")
+                fh.write(f"{rec.path},{rec.mos!r},{float(sc)!r}\n")
         print(f"wrote report {s['report']}")
     print(f"PLCC={result['plcc']:.6f} SRCC={result['srcc']:.6f}")
     return 0
@@ -291,7 +293,7 @@ COMMANDS = {
         {"ratio": 0.25, "epochs": 200, "lr": 1e-2, "block_size": 4, "width": 16,
          "seed": _env_seed},
         {"corpus": (True, "directory of PGM/PPM images"),
-         "out": (True, "output checkpoint path")}),
+         "out": (True, "output checkpoint path")}, "out"),
     "train": Command(
         cmd_train, "train a quality model on a manifest",
         {**{k: getattr(ModelConfig, k) for k in _MODEL_KEYS},
@@ -299,26 +301,26 @@ COMMANDS = {
          "steps": 0, "seed": _env_seed},
         {"manifest": (True, None),
          "csm": (False, "pretrained sampling checkpoint to initialize from"),
-         "out": (True, None)},
+         "out": (True, None)}, "out",
         rows={"ratio": (_ratio_or_r, "sampling ratio in (0, 1], or 'r' for arbitrary")}),
     "eval": Command(
         cmd_eval, "evaluate a checkpoint on a manifest's test split",
         {"ratio": None, "crops": 5, "seed": _env_seed},
         {"manifest": (True, None), "ckpt": (True, None),
-         "report": (False, "write per-image scores to this CSV")}),
+         "report": (False, "write per-image scores to this CSV")}, "report"),
     "score": Command(
         cmd_score, "score one image",
         {"ratio": None, "crops": 5, "seed": _env_seed},
         {"image": (True, None), "ckpt": (True, None),
-         "weight_map": (False, "also write the token weight map (PGM)")}),
+         "weight_map": (False, "also write the token weight map (PGM)")}, "weight_map"),
     "weight-map": Command(
         cmd_weight_map, "write the token weight map for one image",
         {"ratio": None, "seed": _env_seed},
-        {"image": (True, None), "ckpt": (True, None), "out": (True, None)}),
+        {"image": (True, None), "ckpt": (True, None), "out": (True, None)}, "out"),
     "make-toy": Command(
         cmd_make_toy, "generate the synthetic toy dataset",
         {"count": 32, "size": 40, "kind": "noise", "seed": _env_seed},
-        {"out": (True, "output directory")}),
+        {"out": (True, "output directory")}, None),  # it creates --out
 }
 
 
@@ -346,6 +348,9 @@ def main(argv=None) -> int:
     try:
         settings = resolve_settings(args)
         print_header(args.command, settings)
+        out = settings.get(COMMANDS[args.command].output)
+        if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+            raise ContractError(f"cannot write {out}: no directory {os.path.dirname(out)}")
         return COMMANDS[args.command].run(settings)
     except NumericalDivergenceError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -10,7 +10,7 @@ and reports Pearson and Spearman correlations on the test split.
 
 Both checkpoint kinds, a model and a pretrained sampling module, have one
 writer and one reader, checked against the parameter table of the file's
-config: a loader accepts exactly what the writer writes (the config, each
+config: a loader accepts exactly what the writer writes (the meta keys, each
 parameter, the optimizer step with both moments of every parameter or none
 of them, the RNG state and a history object) and nothing else.
 """
@@ -51,7 +51,7 @@ from .head import head_shapes, score as head_score
 from .metrics import plcc, srcc
 from .sampling import (
     CsnetReconstructor,
-    SamplingMatrix,
+    block_side,
     measurement_count,
     random_sampling_matrix,
     reconstructor_shapes,
@@ -193,7 +193,7 @@ def init_model(cfg: ModelConfig) -> ModelState:
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     shapes = param_shapes(cfg)
-    params = {"csm.phi": random_sampling_matrix(cfg.block_size, rng).matrix}
+    params = {"csm.phi": random_sampling_matrix(cfg.block_size, rng)}
     if "aem.embed" in shapes:
         params["aem.embed"] = nm.Tensor(rng.normal(
             scale=cfg.embed_gain / cfg.block_size, size=shapes["aem.embed"]), requires_grad=True)
@@ -222,8 +222,7 @@ def forward(imgs: np.ndarray, state: ModelState, ratio: float | None = None):
         if cfg.ratio_mode != "fixed":
             raise ContractError("arbitrary-ratio model needs an explicit ratio at inference")
         ratio = cfg.ratio
-    matrix = SamplingMatrix(state.params["csm.phi"], cfg.block_size)
-    meas = sample(matrix, imgs, ratio)
+    meas = sample(state.params["csm.phi"], imgs, ratio)
     grid, side = meas.grid, cfg.grid_side
     if (grid.blocks_h, grid.blocks_w) != (side, side):
         raise ContractError(
@@ -392,7 +391,7 @@ def train(
     cfg: ModelConfig,
     settings: TrainSettings | None = None,
     resume: LoadedCheckpoint | None = None,
-    csm: SamplingMatrix | None = None,
+    csm: nm.Tensor | None = None,
 ) -> TrainResult:
     """Fit a model on the seeded training split of a manifest.
 
@@ -401,11 +400,12 @@ def train(
     randomness comes from a single checkpointed stream, so training resumed
     from a record (a loaded checkpoint or an earlier result) continues
     bit-identically on a copy, leaving the record as it was; a resumed run
-    must be given the config it was trained with. A fresh run takes its
-    sampling matrix from ``csm`` when one is given. Returns the final record
-    and, as its ``best``, a snapshot at the lowest validation MSE seen by
-    this call; a resumed run whose best validation came before the resume
-    has no snapshot, though ``history["best_step"]`` still names that step.
+    must be given the config it was trained with. A fresh run copies its
+    sampling matrix from ``csm`` when one is given; its block size must be
+    the config's. Returns the final record and, as its ``best``, a snapshot
+    at the lowest validation MSE seen by this call; a resumed run whose best
+    validation came before the resume has no snapshot, though
+    ``history["best_step"]`` still names that step.
     A non-finite loss raises ``NumericalDivergenceError`` before its update,
     and so does a non-finite parameter after the last update, by name.
     """
@@ -437,11 +437,11 @@ def train(
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
         history = {"loss": [], "val": [], "best_step": None}
         if csm is not None:
-            if csm.block_size != cfg.block_size:
+            if csm.shape != state.params["csm.phi"].shape:
                 raise ContractError(
-                    f"pretrained sampling matrix has block size {csm.block_size}, "
+                    f"pretrained sampling matrix has block size {block_side(csm)}, "
                     f"model uses {cfg.block_size}")
-            state.params["csm.phi"].data[...] = csm.matrix.data
+            state.params["csm.phi"].data[...] = csm.data
 
     steps_per_epoch = max(1, math.ceil(len(train_recs) / settings.batch))
     val_every = settings.val_every
@@ -542,9 +542,9 @@ def _save(path, meta: dict, params: dict[str, nm.Tensor], history: dict,
 
 def _load(path, kind: str):
     """Read a ``kind`` checkpoint as (meta, params, optimizer, rng, history),
-    accepting exactly the blobs ``_save`` writes for the table of its config;
-    any other blob, and any missing or malformed one, is a
-    ``CheckpointFormatError`` naming it."""
+    accepting exactly the ``meta/config`` keys and the blobs ``_save`` writes
+    for the table of its config; any other key or blob, and any missing or
+    malformed one, is a ``CheckpointFormatError`` naming it."""
     blobs = dict(read_checkpoint(path))
 
     def blob(name: str) -> bytes:
@@ -573,10 +573,13 @@ def _load(path, kind: str):
     found = meta.get("kind") if isinstance(meta, dict) else None
     if found != kind:
         raise CheckpointFormatError(f"{path}: checkpoint kind {found!r} is not {kind!r}")
+    keys = {"kind", "config"} if kind == "model" else {"kind", "block_size", "ratio", "width"}
+    unknown, missing = sorted(set(meta) - keys), sorted(keys - set(meta))
+    if unknown or missing:
+        raise CheckpointFormatError(
+            f"{path}: meta/config has unknown keys {unknown}, missing keys {missing}")
     try:
         table = _param_table(meta)
-    except KeyError as e:
-        raise CheckpointFormatError(f"{path}: meta/config is missing key {e}") from None
     except (TypeError, ValueError) as e:  # ContractError is a ValueError
         label = "model" if kind == "model" else "pretraining"
         raise CheckpointFormatError(f"{path}: invalid {label} config: {e}") from None
@@ -624,20 +627,20 @@ def load_model(path) -> LoadedCheckpoint:
 
 
 def save_pretrained_csm(path, matrix, reconstructor, losses) -> None:
-    """Checkpoint restricted to the sampling module's keys, at the
-    reconstructor's ratio and the matrix's block size (which must agree)."""
-    meta = {"kind": "csm-pretrain", "block_size": matrix.block_size,
+    """Checkpoint the sampling module at its reconstructor's block size,
+    ratio and width; ``_save`` rejects a matrix of another block size."""
+    meta = {"kind": "csm-pretrain", "block_size": reconstructor.block_size,
             "ratio": reconstructor.ratio, "width": reconstructor.width}
-    params = {"csm.phi": matrix.matrix,
+    params = {"csm.phi": matrix,
               **{f"csnet.{name}": t for name, t in reconstructor.params.items()}}
     _save(path, meta, params, {"loss": list(losses)})
 
 
-def load_pretrained_csm(path):
+def load_pretrained_csm(path) -> tuple[nm.Tensor, CsnetReconstructor, dict]:
     """Read a pretrained sampling checkpoint (see ``_load``) as (matrix,
     reconstructor, history)."""
     meta, params, _, _, history = _load(path, "csm-pretrain")
-    matrix = SamplingMatrix(params.pop("csm.phi"), meta["block_size"])
+    matrix = params.pop("csm.phi")
     rec = CsnetReconstructor(meta["block_size"], meta["ratio"], meta["width"],
                              {n.removeprefix("csnet."): t for n, t in params.items()})
     return matrix, rec, history

@@ -2,10 +2,11 @@
 
 An image is split into non-overlapping B x B blocks; each flattened block is
 multiplied by the first ceil(ratio * B^2) rows of a learnable B^2 x B^2 base
-matrix, yielding one short measurement vector per block. A small
-reconstruction network (linear per-block expansion plus a 3-layer
-convolutional refiner) supports pretraining the matrix on a corpus so it
-starts from a reconstruction-aware initialization.
+matrix, yielding one short measurement vector per block. The matrix is a
+plain ``numerics.Tensor`` (the model's ``csm.phi``) and B is read off its
+shape. A small reconstruction network (linear per-block expansion plus a
+3-layer convolutional refiner) supports pretraining the matrix on a corpus
+so it starts from a reconstruction-aware initialization.
 """
 
 from __future__ import annotations
@@ -49,21 +50,6 @@ class BlockGrid:
 
 
 @dataclass
-class SamplingMatrix:
-    """Learnable square base matrix whose row prefixes are the samplers."""
-
-    matrix: nm.Tensor
-    block_size: int
-
-    def __post_init__(self):
-        side = self.block_size * self.block_size
-        if self.matrix.shape != (side, side):
-            raise ShapeError(
-                f"sampling matrix must be {side}x{side} for block size "
-                f"{self.block_size}, got {self.matrix.shape}")
-
-
-@dataclass
 class MeasurementSet:
     """Per-block measurement vectors stacked into an (N*L, m) tensor.
 
@@ -87,22 +73,28 @@ class MeasurementSet:
         return self.values.size
 
 
-def random_sampling_matrix(block_size: int, rng: np.random.Generator) -> SamplingMatrix:
+def block_side(matrix: nm.Tensor) -> int:
+    """B of a B^2 x B^2 sampling matrix; ``ShapeError`` for any other shape."""
+    b = math.isqrt(matrix.shape[0]) if len(matrix.shape) == 2 else 0
+    if b < 1 or matrix.shape != (b * b, b * b):
+        raise ShapeError(f"sampling matrix must be B^2 x B^2 for some B, got {matrix.shape}")
+    return b
+
+
+def random_sampling_matrix(block_size: int, rng: np.random.Generator) -> nm.Tensor:
     """Orthogonalized Gaussian rows scaled by 1/B.
 
     Orthonormal rows keep every truncation prefix well conditioned.
     """
     side = block_size * block_size
-    raw = rng.normal(size=(side, side))
-    q, _ = np.linalg.qr(raw)
-    return SamplingMatrix(nm.Tensor(q.T / block_size, requires_grad=True), block_size)
+    q, _ = np.linalg.qr(rng.normal(size=(side, side)))
+    return nm.Tensor(q.T / block_size, requires_grad=True)
 
 
-def gaussian_sampling_matrix(block_size: int, rng: np.random.Generator) -> SamplingMatrix:
+def gaussian_sampling_matrix(block_size: int, rng: np.random.Generator) -> nm.Tensor:
     """Plain i.i.d. Gaussian matrix at the same row scale; baseline only."""
     side = block_size * block_size
-    raw = rng.normal(scale=1.0 / block_size, size=(side, side))
-    return SamplingMatrix(nm.Tensor(raw, requires_grad=True), block_size)
+    return nm.Tensor(rng.normal(scale=1.0 / block_size, size=(side, side)), requires_grad=True)
 
 
 def pad_to_blocks(img: np.ndarray, block_size: int) -> np.ndarray:
@@ -139,34 +131,35 @@ def split_blocks(img: np.ndarray, block_size: int) -> tuple[np.ndarray, BlockGri
     return np.ascontiguousarray(blocks), grid
 
 
-def sample(sm: SamplingMatrix, img: np.ndarray, ratio: float) -> MeasurementSet:
+def sample(matrix: nm.Tensor, img: np.ndarray, ratio: float) -> MeasurementSet:
     """Measure every block with the truncated matrix; differentiable in it.
 
     ``img`` is one (H, W) image or an (N, H, W) stack, measured as one
-    (N*L, B^2) @ Phi^T product. Computed as the full-matrix product
-    followed by a column slice so that measurements at a smaller ratio are
-    bitwise a prefix of those at any larger ratio (the truncated-multiply
-    order would leave that to BLAS rounding).
+    (N*L, B^2) @ Phi^T product, B being ``block_side(matrix)``. Computed as
+    the full-matrix product followed by a column slice so that measurements
+    at a smaller ratio are bitwise a prefix of those at any larger ratio
+    (the truncated-multiply order would leave that to BLAS rounding).
     """
-    m = measurement_count(sm.block_size, ratio)
-    blocks, grid = split_blocks(img, sm.block_size)
-    full = nm.matmul(nm.Tensor(blocks), nm.permute(sm.matrix, (1, 0)))
+    b = block_side(matrix)
+    m = measurement_count(b, ratio)
+    blocks, grid = split_blocks(img, b)
+    full = nm.matmul(nm.Tensor(blocks), nm.permute(matrix, (1, 0)))
     y = nm.slice_cols(full, 0, m) if m < full.shape[1] else full
     return MeasurementSet(y, grid)
 
 
-def sample_conv(sm: SamplingMatrix, img: np.ndarray, ratio: float) -> MeasurementSet:
+def sample_conv(matrix: nm.Tensor, img: np.ndarray, ratio: float) -> MeasurementSet:
     """Same measurements via a stride-B convolution.
 
     Each kept row of the matrix, reshaped B x B, slides over the padded
     image with stride B; this is the verification/acceleration route and is
     not recorded on the tape.
     """
-    b = sm.block_size
+    b = block_side(matrix)
     m = measurement_count(b, ratio)
     padded = pad_to_blocks(img, b)
     grid = BlockGrid(padded.shape[-2] // b, padded.shape[-1] // b, b)
-    kernels = sm.matrix.data[:m].reshape(m, b, b)
+    kernels = matrix.data[:m].reshape(m, b, b)
     windows = np.lib.stride_tricks.sliding_window_view(
         padded, (b, b), axis=(-2, -1))[..., ::b, ::b, :, :]
     y = np.einsum("...ghuv,muv->...ghm", windows, kernels, optimize=True)
@@ -255,7 +248,7 @@ def csnet_reconstruct(rec: CsnetReconstructor, meas: MeasurementSet) -> nm.Tenso
 
 
 def _corpus_error(
-    matrix: SamplingMatrix, rec: CsnetReconstructor, images: list[np.ndarray], ratio: float
+    matrix: nm.Tensor, rec: CsnetReconstructor, images: list[np.ndarray], ratio: float
 ) -> nm.Tensor:
     """Each image's reconstruction MSE, summed in corpus order, as one op.
 
@@ -289,9 +282,9 @@ def pretrain_csm(
     block_size: int = 4,
     width: int = 16,
     seed: int = 0,
-    matrix: SamplingMatrix | None = None,
+    matrix: nm.Tensor | None = None,
     train_matrix: bool = True,
-) -> tuple[SamplingMatrix, CsnetReconstructor, list[float]]:
+) -> tuple[nm.Tensor, CsnetReconstructor, list[float]]:
     """Jointly fit the sampling matrix and reconstructor by Adam on MSE.
 
     One full-batch step per epoch on one tape: the images of each size are
@@ -318,11 +311,10 @@ def pretrain_csm(
     rec = init_reconstructor(block_size, ratio, recon_rng, width=width)  # checks the geometry
     if matrix is None:
         matrix = random_sampling_matrix(block_size, matrix_rng)
-    if matrix.block_size != block_size:
+    if block_side(matrix) != block_size:
         raise ContractError(
-            f"matrix block size {matrix.block_size} != requested {block_size}")
-    phi = nm.Tensor(matrix.matrix.data, requires_grad=train_matrix)
-    sampler = SamplingMatrix(phi, block_size)
+            f"sampling matrix has block size {block_side(matrix)}, requested {block_size}")
+    phi = nm.Tensor(matrix.data, requires_grad=train_matrix)
     params = {"csm.phi": phi} if train_matrix else {}
     params.update({f"csnet.{name}": t for name, t in rec.params.items()})
     scale = nm.Tensor(1.0 / len(corpus))
@@ -330,14 +322,14 @@ def pretrain_csm(
     losses: list[float] = []
     for epoch in range(epochs):
         losses.append(nm.descend(
-            params, lambda: nm.mul(_corpus_error(sampler, rec, corpus, ratio), scale),
+            params, lambda: nm.mul(_corpus_error(phi, rec, corpus, ratio), scale),
             state, lr, 0.0, f"pretraining epoch {epoch + 1}"))
     nm.check_finite(params, f"pretraining epoch {epochs}")
     return matrix, rec, losses
 
 
 def reconstruction_mse(
-    matrix: SamplingMatrix, rec: CsnetReconstructor, corpus: list[np.ndarray], ratio: float
+    matrix: nm.Tensor, rec: CsnetReconstructor, corpus: list[np.ndarray], ratio: float
 ) -> float:
     """Mean reconstruction MSE of a (matrix, reconstructor) pair on a corpus."""
     if not corpus:

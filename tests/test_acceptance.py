@@ -26,7 +26,6 @@ from csiqa.head import aggregate
 from csiqa.metrics import plcc, srcc
 from csiqa.sampling import (
     BlockGrid,
-    SamplingMatrix,
     gaussian_sampling_matrix,
     pretrain_csm,
     reconstruction_mse,
@@ -90,7 +89,7 @@ def test_criterion_1_sampling_equivalence(rng):
     for _ in range(100):
         b = int(rng.integers(2, 7))
         side = b * b
-        matrix = SamplingMatrix(nm.Tensor(rng.normal(size=(side, side))), b)
+        matrix = nm.Tensor(rng.normal(size=(side, side)))
         h, w = (int(v) for v in rng.integers(b, 4 * b, size=2))
         img = rng.random((h, w))
         ratio = float(rng.uniform(0.02, 1.0))
@@ -107,7 +106,7 @@ def test_criterion_1_sampling_equivalence(rng):
 def test_criterion_2_truncation_nesting(rng):
     for b, size in ((4, 12), (5, 17), (8, 24)):
         side = b * b
-        matrix = SamplingMatrix(nm.Tensor(rng.normal(size=(side, side))), b)
+        matrix = nm.Tensor(rng.normal(size=(side, side)))
         img = rng.random((size, size))
         meas = {r: sample(matrix, img, r).values.data for r in RATIO_GRID}
         for lo, hi in zip(RATIO_GRID, RATIO_GRID[1:]):
@@ -258,7 +257,7 @@ def test_criterion_9_pretraining_value():
             corpus, 0.25, epochs=900, lr=3e-3, block_size=4, width=16, seed=seed)
         frozen = gaussian_sampling_matrix(
             4, np.random.default_rng(np.random.SeedSequence([seed, 12])))
-        frozen.matrix.requires_grad = False
+        frozen.requires_grad = False
         base_m, base_rec, _ = pretrain_csm(
             corpus, 0.25, epochs=900, lr=3e-3, block_size=4, width=16, seed=seed,
             matrix=frozen, train_matrix=False)

@@ -86,7 +86,7 @@ class TestPretrain:
         matrix, _, _ = load_pretrained_csm(out)
         fresh_rng = np.random.default_rng(np.random.SeedSequence([9, 11, 0]))
         fresh = random_sampling_matrix(4, fresh_rng)
-        assert np.array_equal(matrix.matrix.data, fresh.matrix.data)
+        assert np.array_equal(matrix.data, fresh.data)
 
     def test_missing_corpus_dir(self, tmp_path, capsys):
         code = main(["pretrain", "--corpus", str(tmp_path / "nope"), "--ratio", "0.5",
@@ -217,8 +217,9 @@ class TestEval:
         assert len(lines) > 1
         result = evaluate(read_manifest(toyset["manifest"]), load_model(trained_ckpt).state,
                           None, 2, seed=0)
-        assert lines[1:] == [f"{r.path},{r.mos!r},{sc!r}"
+        assert lines[1:] == [f"{r.path},{r.mos!r},{float(sc)!r}"
                              for r, sc in zip(result["records"], result["scores"])]
+        assert [float(line.rsplit(",", 1)[1]) for line in lines[1:]] == list(result["scores"])
 
     def test_crop_count_changes_report_deterministically(self, toyset, trained_ckpt, tmp_path, capsys):
         reports = {}
@@ -371,6 +372,16 @@ class TestBadCheckpoint:
         assert peak < 256 * 1024
         assert not out.exists()
 
+    def test_eval_on_unknown_meta_key_exits_2(self, toyset, trained_ckpt, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        write_checkpoint(bad, [(name, payload[:-1] + b',"junk":1}' if name == "meta/config"
+                                else payload) for name, payload in read_checkpoint(trained_ckpt)])
+        code = main(["eval", "--manifest", toyset["manifest"], "--ckpt", str(bad),
+                     "--crops", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and "unknown keys ['junk']" in captured.err
+        assert "PLCC=" not in captured.out and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("command", ["eval", "score"])
     def test_old_format_names_removed_config_keys(self, command, toyset, trained_ckpt,
                                                   tmp_path, capsys):
@@ -437,6 +448,41 @@ class TestCountSettings:
         err = capsys.readouterr().err
         assert "kind" in err and "Traceback" not in err
         assert not out.exists()
+
+
+class TestOutputDirectory:
+    """An output file in a directory that does not exist is an input error
+    found before any input is read: exit 2 naming the path, nothing but the
+    run header printed."""
+
+    @pytest.mark.parametrize("inputs_exist", [True, False], ids=["inputs", "no-inputs"])
+    @pytest.mark.parametrize("command,flag", [
+        ("train", "--out"), ("pretrain", "--out"), ("weight-map", "--out"),
+        ("eval", "--report"), ("score", "--weight-map")])
+    def test_exits_2_before_the_work(self, command, flag, inputs_exist, toyset, trained_ckpt,
+                                     tmp_path, capsys):
+        # with no inputs, an error about the output shows none was read first
+        given = {**toyset, "ckpt": trained_ckpt} if inputs_exist else {
+            name: str(tmp_path / "missing" / name) for name in ("manifest", "corpus", "image",
+                                                                 "ckpt")}
+        out = str(tmp_path / "nodir" / "file")
+        inputs = {
+            "train": ["--manifest", given["manifest"], *TINY_TRAIN],
+            "pretrain": ["--corpus", given["corpus"], "--width", "4", "--epochs", "2"],
+            "weight-map": ["--image", given["image"], "--ckpt", given["ckpt"]],
+            "eval": ["--manifest", given["manifest"], "--ckpt", given["ckpt"]],
+            "score": ["--image", given["image"], "--ckpt", given["ckpt"]],
+        }[command]
+        assert main([command, *inputs, flag, out]) == 2
+        captured = capsys.readouterr()
+        assert f"cannot write {out}" in captured.err and "Traceback" not in captured.err
+        assert all(line.startswith("# ") for line in captured.out.splitlines())  # header only
+        assert not (tmp_path / "nodir").exists()
+
+    def test_make_toy_creates_its_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "toy"
+        assert main(["make-toy", "--out", str(out), "--count", "2", "--size", "8"]) == 0
+        assert (out / "manifest.csv").exists()
 
 
 class TestNonUtf8Input:

@@ -254,6 +254,6 @@ def test_load_pretrained_csm(workdir, csm_blobs, data):
     if loaded is not None:
         matrix, rec, _ = loaded
         side = rec.block_size ** 2
-        assert matrix.matrix.shape == (side, side)
+        assert matrix.shape == (side, side)
         shapes = reconstructor_shapes(rec.block_size, rec.ratio, rec.width)
         assert {name: t.shape for name, t in rec.params.items()} == shapes

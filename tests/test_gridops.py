@@ -119,7 +119,7 @@ def test_pretraining_bitwise_equals_gather_scatter_conv(rng, monkeypatch):
     monkeypatch.setattr(sp, "conv3x3", reference_conv3x3)
     m_ref, rec_ref, losses_ref = sp.pretrain_csm(corpus, **args)
     assert np.array_equal(losses_new, losses_ref)
-    assert np.array_equal(m_new.matrix.data, m_ref.matrix.data)
+    assert np.array_equal(m_new.data, m_ref.data)
     for name, t in rec_ref.params.items():
         assert np.array_equal(rec_new.params[name].data, t.data), name
 

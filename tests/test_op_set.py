@@ -4,11 +4,15 @@ per-layer view still finds every function it wraps.
 Reference ops that only tests need live in ``tests/unfused.py``. ``bmm``
 and ``gather_rows`` stay in ``numerics`` while ``perfbench/tracer.py``
 wraps them; the second test keeps both lists honest. The third holds the
-benchmark's op boundary to one ``adam_step`` per optimizer update.
+benchmark's op boundary to one ``adam_step`` per optimizer update, and the
+fourth runs each benchmark workload once, so a change to an API it calls
+fails here rather than only in a benchmark run.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 from csiqa import numerics as nm
 from csiqa import pipeline as pl
@@ -89,3 +93,16 @@ def test_benchmark_op_boundary_is_one_adam_step_per_update(monkeypatch, tmp_path
         assert len(marks.times) == 3
         sampling.pretrain_csm([rng.random((8, 8))], 0.25, epochs=2, lr=1e-3, width=4)
         assert len(marks.times) == 5
+
+
+@pytest.mark.parametrize("name", ["TrainDesk", "PretrainCorpus", "ScoreFivecrop"])
+def test_every_benchmark_workload_runs_one_op(monkeypatch, tmp_path, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    workload = getattr(workloads, name)()
+    with workloads.OpMarks() as marks:
+        ctx = workload.setup(0, str(tmp_path), marks)
+        phase = workload.run(ctx, marks, 0.0, 1)
+        problems = workload.check(ctx)
+    assert (phase.attempted, phase.failed, problems) == (1, 0, [])

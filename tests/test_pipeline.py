@@ -413,6 +413,15 @@ class TestPersistence:
             pl.train(tiny_manifest, cfg, pl.TrainSettings(batch=4, lr=1e-3, steps=2, val_every=0),
                      resume=first, csm=pl.load_pretrained_csm(csm_checkpoint)[0])
 
+    def test_csm_of_another_block_size_is_contract_error(self, tiny_manifest, rng, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(pl.nm, "descend", no_step)
+        with pytest.raises(ContractError, match="block size 2, model uses 4"):
+            pl.train(tiny_manifest, pl.ModelConfig(), pl.TrainSettings(steps=1),
+                     csm=random_sampling_matrix(2, rng))
+
     @pytest.mark.parametrize("history", [None, {"loss": [0.5]}, {"val": []}],
                              ids=["none", "no-val", "no-loss"])
     def test_resume_without_history_is_contract_error(self, tmp_path, tiny_manifest, history):
@@ -445,6 +454,15 @@ class TestPersistence:
         with pytest.raises(CheckpointFormatError) as e:
             pl.load_model(bad)
         assert message in str(e.value)
+
+    def test_unknown_meta_key_is_format_error(self, tmp_path):
+        # re-saving would drop the key, so the file could not round-trip
+        good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+        pl.save_model(good, pl.init_model(pl.ModelConfig(**TINY)))
+        self._rewrite(good, bad, lambda name, blob: pl._json_bytes(dict(json.loads(blob), junk=1))
+                      if name == "meta/config" else blob)
+        with pytest.raises(CheckpointFormatError, match=r"unknown keys \['junk'\]"):
+            pl.load_model(bad)
 
     def test_wrong_parameter_shape_is_format_error(self, tmp_path):
         state = pl.init_model(pl.ModelConfig(**TINY))
@@ -481,7 +499,7 @@ class TestPersistence:
                           pl.TrainSettings(batch=2, lr=0.0, weight_decay=0.0,
                                            steps=1, val_every=0),
                           csm=pl.load_pretrained_csm(path)[0])
-        assert np.array_equal(result.state.params["csm.phi"].data, matrix.matrix.data)
+        assert np.array_equal(result.state.params["csm.phi"].data, matrix.data)
 
     def test_csm_checkpoint_round_trips_at_its_reconstructor_ratio(self, tmp_path, rng):
         from csiqa.sampling import pretrain_csm
@@ -492,7 +510,7 @@ class TestPersistence:
         pl.save_pretrained_csm(path, matrix, rec, losses)
         loaded, loaded_rec, history = pl.load_pretrained_csm(path)
         assert loaded_rec.ratio == 0.5 and history == {"loss": losses}
-        assert np.array_equal(loaded.matrix.data, matrix.matrix.data)
+        assert np.array_equal(loaded.data, matrix.data)
         for name, t in rec.params.items():
             assert np.array_equal(loaded_rec.params[name].data, t.data), name
         pl.save_pretrained_csm(again, loaded, loaded_rec, history["loss"])
@@ -580,10 +598,10 @@ class TestPersistence:
             pl.load_model(bad)
 
     def test_writer_rejects_tensors_off_its_table(self, tmp_path, rng):
-        # a block-2 matrix declares a block-2 table, which a block-4
-        # reconstructor's csnet.* blobs do not fit
+        # the block size comes from the reconstructor, so a block-2 matrix
+        # is off the block-4 table
         path = tmp_path / "csm.ckpt"
-        with pytest.raises(ContractError, match=r"param blobs \[\('csnet.init.w', \(4, 16\)\)"):
+        with pytest.raises(ContractError, match=r"param blobs \[\('csm.phi', \(4, 4\)\)\]"):
             pl.save_pretrained_csm(path, random_sampling_matrix(2, rng),
                                    init_reconstructor(4, 0.25, rng, width=4), [0.5])
         assert not path.exists()
@@ -620,8 +638,9 @@ class TestPersistence:
           for k in ("kind", "block_size", "ratio", "width")],
         (lambda meta: dict(meta, width="wide"), "invalid pretraining config"),
         (lambda meta: dict(meta, width=8), "conv1.w has shape"),
+        (lambda meta: dict(meta, extra=1), r"unknown keys \['extra'\]"),
     ], ids=["bad-json", "wrong-kind", "no-kind", "no-block_size", "no-ratio", "no-width",
-            "bad-width", "other-width"])
+            "bad-width", "other-width", "extra-key"])
     def test_bad_csm_meta_is_format_error(self, tmp_path, csm_checkpoint, edit, message):
         def rewrite(name, payload):
             if name != "meta/config":

@@ -22,7 +22,7 @@ def merge_blocks(blocks, grid):
 
 def identity_matrix(block_size):
     side = block_size * block_size
-    return sp.SamplingMatrix(nm.Tensor(np.eye(side), requires_grad=True), block_size)
+    return nm.Tensor(np.eye(side), requires_grad=True)
 
 
 class TestSplitBlocks:
@@ -53,15 +53,15 @@ class TestSplitBlocks:
 
 class TestTruncate:
     def test_full_ratio_is_whole_matrix(self, rng):
-        m = sp.SamplingMatrix(nm.Tensor(rng.random((16, 16))), 4)
+        m = nm.Tensor(rng.random((16, 16)))
         img = rng.random((8, 8))
         blocks, _ = sp.split_blocks(img, 4)
         meas = sp.sample(m, img, 1.0)
         assert meas.measurement_length == 16
-        assert np.max(np.abs(meas.values.data - blocks @ m.matrix.data.T)) <= 1e-12
+        assert np.max(np.abs(meas.values.data - blocks @ m.data.T)) <= 1e-12
 
     def test_quarter_ratio_shape(self, rng):
-        m = sp.SamplingMatrix(nm.Tensor(rng.random((16, 16))), 4)
+        m = nm.Tensor(rng.random((16, 16)))
         assert sp.sample(m, rng.random((8, 8)), 0.25).values.shape == (4, 4)
 
     def test_ceiling_rule(self):
@@ -92,18 +92,18 @@ class TestSample:
         assert np.array_equal(meas.values.data, blocks[:, :4])
 
     def test_matches_naive_per_block_loop(self, rng):
-        m = sp.SamplingMatrix(nm.Tensor(rng.normal(size=(16, 16))), 4)
+        m = nm.Tensor(rng.normal(size=(16, 16)))
         img = rng.random((8, 8))
         meas = sp.sample(m, img, 0.5)
         blocks, _ = sp.split_blocks(img, 4)
         rows = sp.measurement_count(4, 0.5)
         for i in range(blocks.shape[0]):
             expected = np.array(
-                [sum(m.matrix.data[r, k] * blocks[i, k] for k in range(16)) for r in range(rows)])
+                [sum(m.data[r, k] * blocks[i, k] for k in range(16)) for r in range(rows)])
             assert np.max(np.abs(meas.values.data[i] - expected)) <= 1e-12
 
     def test_nesting_is_exact(self, rng):
-        m = sp.SamplingMatrix(nm.Tensor(rng.normal(size=(16, 16))), 4)
+        m = nm.Tensor(rng.normal(size=(16, 16)))
         img = rng.random((12, 12))
         ratios = [0.1, 0.2, 0.5, 1.0]
         meas = {r: sp.sample(m, img, r).values.data for r in ratios}
@@ -112,7 +112,7 @@ class TestSample:
             assert np.array_equal(meas[lo], meas[hi][:, :n])
 
     def test_linearity(self, rng):
-        m = sp.SamplingMatrix(nm.Tensor(rng.normal(size=(16, 16))), 4)
+        m = nm.Tensor(rng.normal(size=(16, 16)))
         img1, img2 = rng.random((8, 8)), rng.random((8, 8))
         a, b = 1.7, -0.4
         lhs = sp.sample(m, a * img1 + b * img2, 0.5).values.data
@@ -120,7 +120,7 @@ class TestSample:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_data_usage_accounting(self, rng):
-        m = sp.SamplingMatrix(nm.Tensor(rng.normal(size=(16, 16))), 4)
+        m = nm.Tensor(rng.normal(size=(16, 16)))
         img = rng.random((20, 20))
         ratio = 0.5
         meas = sp.sample(m, img, ratio)
@@ -130,7 +130,7 @@ class TestSample:
         assert abs(meas.total_scalars - ratio * padded_pixels) <= slack
 
     def test_gradient_flows_to_matrix(self, rng):
-        m = sp.SamplingMatrix(nm.Tensor(rng.normal(size=(4, 4)), requires_grad=True), 2)
+        m = nm.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
         img = rng.random((4, 4))
 
         def loss_fn():
@@ -140,17 +140,25 @@ class TestSample:
         with nm.GradTape() as tape:
             loss = loss_fn()
         tape.backward(loss)
-        fd = central_diff_grads(lambda: loss_fn().item(), [m.matrix])
-        assert max_rel_err(m.matrix.grad, fd[0]) <= 1e-6
+        fd = central_diff_grads(lambda: loss_fn().item(), [m])
+        assert max_rel_err(m.grad, fd[0]) <= 1e-6
         # rows beyond the truncation get exactly zero gradient
-        assert np.array_equal(m.matrix.grad[2:], np.zeros((2, 4)))
+        assert np.array_equal(m.grad[2:], np.zeros((2, 4)))
+
+
+    @pytest.mark.parametrize("route", [sp.sample, sp.sample_conv])
+    @pytest.mark.parametrize("shape", [(15, 15), (16, 8)])
+    def test_matrix_must_be_block_square(self, rng, route, shape):
+        with pytest.raises(ShapeError) as e:
+            route(nm.Tensor(rng.normal(size=shape)), rng.random((8, 8)), 0.5)
+        assert f"B^2 x B^2 for some B, got {shape}" in str(e.value)
 
 
 class TestSampleConv:
     def test_equivalence_with_matrix_route(self, rng):
         for _ in range(20):
             b = int(rng.integers(2, 6))
-            m = sp.SamplingMatrix(nm.Tensor(rng.normal(size=(b * b, b * b))), b)
+            m = nm.Tensor(rng.normal(size=(b * b, b * b)))
             h, w = rng.integers(b, 4 * b, size=2)
             img = rng.random((int(h), int(w)))
             ratio = float(rng.uniform(0.05, 1.0))
@@ -162,7 +170,7 @@ class TestSampleConv:
         b = 4
         mat = np.zeros((16, 16))
         mat[0, :] = 1.0 / 16.0
-        m = sp.SamplingMatrix(nm.Tensor(mat), b)
+        m = nm.Tensor(mat)
         img = rng.random((8, 8))
         meas = sp.sample_conv(m, img, 1.0 / 16.0)  # exactly one row kept
         blocks, _ = sp.split_blocks(img, b)
@@ -240,13 +248,18 @@ class TestPretrain:
                                          block_size=4, width=4, seed=5)
         fresh_rng = np.random.default_rng(np.random.SeedSequence([5, 11, 0]))
         fresh = sp.random_sampling_matrix(4, fresh_rng)
-        assert np.array_equal(matrix.matrix.data, fresh.matrix.data)
+        assert np.array_equal(matrix.data, fresh.data)
 
     def test_constant_corpus_reaches_tiny_error(self, rng):
         corpus = [np.full((8, 8), 0.25), np.full((8, 8), 0.75)]
         matrix, rec, losses = sp.pretrain_csm(corpus, 0.25, epochs=250, lr=1e-2,
                                               block_size=4, width=4, seed=1)
         assert sp.reconstruction_mse(matrix, rec, corpus, 0.25) < 1e-3
+
+    def test_matrix_of_another_block_size_rejected(self, rng):
+        with pytest.raises(ContractError, match="block size 2, requested 4"):
+            sp.pretrain_csm([rng.random((8, 8))], 0.25, epochs=1, lr=1e-3, block_size=4,
+                            width=4, matrix=sp.random_sampling_matrix(2, rng))
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ContractError):
@@ -266,7 +279,7 @@ def reference_pretrain(corpus, ratio, epochs, lr, block_size, width, seed):
     recon_rng = np.random.default_rng(np.random.SeedSequence([seed, 11, 1]))
     matrix = sp.random_sampling_matrix(block_size, matrix_rng)
     rec = sp.init_reconstructor(block_size, ratio, recon_rng, width=width)
-    params = {"csm.phi": matrix.matrix, **{f"csnet.{n}": t for n, t in rec.params.items()}}
+    params = {"csm.phi": matrix, **{f"csnet.{n}": t for n, t in rec.params.items()}}
     state = nm.AdamState()
     losses = []
     for _ in range(epochs):
@@ -318,7 +331,7 @@ class TestBatchedPretrain:
         # batching regroups the sums of shared-weight gradients, so later
         # epochs may differ in the last bits
         assert max_rel_err(new, ref, floor=1e-300) <= 1e-12
-        assert max_rel_err(m_new.matrix.data, m_ref.matrix.data, floor=1e-300) <= 1e-12
+        assert max_rel_err(m_new.data, m_ref.data, floor=1e-300) <= 1e-12
         for name in rec_ref.params:
             assert max_rel_err(rec_new.params[name].data, rec_ref.params[name].data,
                                floor=1e-300) <= 1e-12, name
@@ -363,22 +376,22 @@ class TestBatchedPretrain:
     @pytest.mark.parametrize("train_matrix", [False, True])
     def test_matrix_flag_left_as_passed(self, flag, train_matrix, rng):
         matrix = sp.random_sampling_matrix(4, rng)
-        matrix.matrix.requires_grad = flag
+        matrix.requires_grad = flag
         sp.pretrain_csm([rng.random((8, 8))], 0.25, epochs=1, lr=1e-3, width=4,
                         matrix=matrix, train_matrix=train_matrix)
-        assert matrix.matrix.requires_grad is flag
+        assert matrix.requires_grad is flag
 
     @pytest.mark.parametrize("flag", [False, True])
     @pytest.mark.parametrize("train_matrix", [False, True])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_matrix_flag_left_as_passed_on_divergence(self, flag, train_matrix, rng):
         matrix = sp.random_sampling_matrix(4, rng)
-        matrix.matrix.requires_grad = flag
+        matrix.requires_grad = flag
         corpus = [rng.random((8, 8)) for _ in range(2)]
         with pytest.raises(NumericalDivergenceError, match="epoch 2"):
             sp.pretrain_csm(corpus, 0.25, epochs=4, lr=float("nan"), width=4,
                             matrix=matrix, train_matrix=train_matrix)
-        assert matrix.matrix.requires_grad is flag
+        assert matrix.requires_grad is flag
 
     def test_non_positive_width_rejected(self, rng):
         with pytest.raises(ContractError, match="width"):
