@@ -28,7 +28,7 @@ frozen = gaussian_sampling_matrix(4, np.random.default_rng(7))
 frozen.requires_grad = False
 frozen_m, frozen_rec, _ = pretrain_csm(
     corpus, ratio, epochs=epochs, lr=lr, block_size=4, width=16, seed=0,
-    matrix=frozen, train_matrix=False)
+    matrix=frozen)
 
 mse_learned = reconstruction_mse(learned_m, learned_rec, corpus, ratio)
 mse_frozen = reconstruction_mse(frozen_m, frozen_rec, corpus, ratio)

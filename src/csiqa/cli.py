@@ -30,6 +30,7 @@ from .pipeline import (
     forward,
     load_model,
     load_pretrained_csm,
+    param_shapes,
     predict_image,
     save_model,
     save_pretrained_csm,
@@ -117,7 +118,7 @@ class Command(NamedTuple):
     help: str
     settings: dict
     paths: dict
-    output: str | None  # its directory must exist before the work starts
+    output: str | None  # checked to be a file in an existing directory before the work
     rows: dict = {}  # SETTINGS rows this subcommand replaces
 
     def row(self, key: str) -> tuple:
@@ -211,6 +212,8 @@ def cmd_train(s: dict) -> int:
         model.update(ratio_mode="arbitrary", ratio=ModelConfig.ratio)
     cfg = ModelConfig(**model, seed=s["seed"])
     settings = TrainSettings(**{k: s[k] for k in _OPTIMIZER_KEYS}, steps=s["steps"] or None)
+    count = sum(math.prod(shape) for shape in param_shapes(cfg).values())
+    print(f"# parameters = {count} ({8 * count} bytes)")
     csm = None
     if s["csm"] is not None:
         csm, csm_rec, _ = load_pretrained_csm(s["csm"])
@@ -351,6 +354,8 @@ def main(argv=None) -> int:
         out = settings.get(COMMANDS[args.command].output)
         if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
             raise ContractError(f"cannot write {out}: no directory {os.path.dirname(out)}")
+        if out is not None and os.path.isdir(out):
+            raise ContractError(f"cannot write {out}: it is a directory")
         return COMMANDS[args.command].run(settings)
     except NumericalDivergenceError as e:
         print(f"error: {e}", file=sys.stderr)

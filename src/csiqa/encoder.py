@@ -4,9 +4,10 @@ A stack of post-norm transformer blocks (normalization applied after each
 residual addition, not before the sublayer) is followed by a windowed
 refinement module: two window-attention layers over w x w tiles of the token
 grid, the second with the tiling cyclically shifted by floor(w/2), then a
-3x3 convolution over the grid scaled by a small factor and added back as a
-residual. Window attention uses a cyclic shift without attention masking;
-grids are expected to be divisible by the window size.
+3x3 convolution over the grid scaled by the fixed factor ``CONV_SCALE``
+(0.1) and added back as a residual. Window attention uses a cyclic shift
+without attention masking; grids are expected to be divisible by the
+window size.
 
 A block is nine tape records: the q/k/v projections, one fused
 ``numerics.attention`` over every sample (or window) and head, the output
@@ -28,8 +29,8 @@ from .sampling import BlockGrid
 
 
 # Fixed geometry: the feed-forward width per token width, the window
-# layers in a refinement module (unshifted, then shifted) and the scale of
-# its conv residual (the starting value when the scale is learnable).
+# layers in a refinement module (unshifted, then shifted) and the fixed
+# scale of its conv residual, as in MANIQA's scale Swin block.
 FF_MULT = 4
 REFINE_LAYERS = 2
 CONV_SCALE = 0.1
@@ -65,15 +66,12 @@ def encoder_shapes(depth: int, embed_dim: int) -> dict[str, tuple[int, ...]]:
     return {f"block{i}.{k}": shape for i in range(depth) for k, shape in block.items()}
 
 
-def refiner_shapes(embed_dim: int, learnable_scale: bool) -> dict[str, tuple[int, ...]]:
-    """The window layers under ``stl{i}.``, then the conv residual, with
-    its scale ``conv.alpha`` (one entry) only when that is learnable."""
+def refiner_shapes(embed_dim: int) -> dict[str, tuple[int, ...]]:
+    """The window layers under ``stl{i}.``, then the conv residual."""
     block = block_shapes(embed_dim)
     shapes = {f"stl{i}.{k}": shape for i in range(REFINE_LAYERS) for k, shape in block.items()}
     shapes["conv.w"] = (9 * embed_dim, embed_dim)
     shapes["conv.b"] = (embed_dim,)
-    if learnable_scale:
-        shapes["conv.alpha"] = (1,)
     return shapes
 
 
@@ -93,9 +91,6 @@ class ParamGroup:
 
     def __getitem__(self, key: str) -> nm.Tensor:
         return self.params[self.prefix + key]
-
-    def __contains__(self, key) -> bool:
-        return self.prefix + key in self.params
 
     def group(self, name: str) -> "ParamGroup":
         """The sub-group under ``name.``."""
@@ -205,8 +200,7 @@ def window_refine(
 
     ``x`` is (L, d) or (N, L, d) and the result has its shape. Layer i uses
     a cyclic shift of floor(w/2) on odd i, none on even i. The output is
-    CONV_SCALE * Conv3x3(tokens) + tokens, with the learnable ``conv.alpha``
-    in place of CONV_SCALE when the parameters hold one.
+    CONV_SCALE * Conv3x3(tokens) + tokens.
     """
     shape = x.shape
     x = nm.reshape(x, (x.size // shape[-1], shape[-1]))
@@ -214,5 +208,4 @@ def window_refine(
         shift = (window // 2) if i % 2 else 0
         x = window_block(x, grid, params.group(f"stl{i}"), heads, window, shift)
     conv_out = conv3x3(x, grid.blocks_h, grid.blocks_w, params["conv.w"], params["conv.b"])
-    alpha = params["conv.alpha"] if "conv.alpha" in params else nm.Tensor(CONV_SCALE)
-    return nm.reshape(nm.add(nm.mul(conv_out, alpha), x), shape)
+    return nm.reshape(nm.add(nm.mul(conv_out, nm.Tensor(CONV_SCALE)), x), shape)

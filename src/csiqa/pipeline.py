@@ -40,7 +40,7 @@ from .data import (
     split_records,
 )
 from .embedding import add_position, bypass_embed, embed
-from .encoder import CONV_SCALE, ParamGroup, encode, encoder_shapes, refiner_shapes, window_refine
+from .encoder import ParamGroup, encode, encoder_shapes, refiner_shapes, window_refine
 from .errors import (
     CheckpointFormatError,
     ContractError,
@@ -69,10 +69,9 @@ class ModelConfig:
 
     ``ratio_mode`` is "fixed" (one ratio for training and evaluation) or
     "arbitrary" (a ratio drawn per batch from ``DEFAULT_RATIO_SET``). The
-    defaults are the desk-scale configuration; ``paper_scale`` returns the
-    full-size geometry, which is expressible but not a test target. The
-    feed-forward width (4 * embed_dim), the single refinement module and
-    its conv scale are fixed in ``encoder``.
+    defaults are the desk-scale configuration. The feed-forward width
+    (4 * embed_dim), the single refinement module and its conv scale are
+    fixed in ``encoder``.
     """
 
     variant: str = "cl-iqa"
@@ -81,7 +80,6 @@ class ModelConfig:
     depth: int = 2
     heads: int = 4
     window: int = 2
-    learnable_scale: bool = False
     ratio_mode: str = "fixed"
     ratio: float = 0.1
     crop_size: int = 32
@@ -146,14 +144,6 @@ class ModelConfig:
             raise ContractError(f"model config has unknown keys {unknown}, missing keys {missing}")
         return cls(**d)
 
-    @classmethod
-    def paper_scale(cls, **overrides) -> "ModelConfig":
-        """Full-size geometry: 16-pixel blocks, 768-wide tokens, 12 blocks."""
-        base = dict(block_size=16, embed_dim=768, depth=12, heads=12,
-                    window=7, crop_size=224)
-        base.update(overrides)
-        return cls(**base)
-
 
 @dataclass
 class ModelState:
@@ -177,7 +167,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes["aem.embed"] = (d, side)
     shapes["aem.pos"] = (cfg.tokens_per_crop, d)
     for prefix, part in (("enc.", encoder_shapes(cfg.depth, d)),
-                         ("refine0.", refiner_shapes(d, cfg.learnable_scale)),
+                         ("refine0.", refiner_shapes(d)),
                          ("head.", head_shapes(d))):
         shapes.update({prefix + name: shape for name, shape in part.items()})
     return shapes
@@ -187,9 +177,8 @@ def init_model(cfg: ModelConfig) -> ModelState:
     """Seeded parameter initialization in the order of ``param_shapes``.
 
     The sampling matrix is orthogonal, the embedding Gaussian at
-    embed_gain/B, the positional table truncated-normal at 0.02 and a
-    learnable conv scale starts at ``CONV_SCALE``; every other tensor
-    follows ``numerics.init_params`` at ``init_std``.
+    embed_gain/B and the positional table truncated-normal at 0.02; every
+    other tensor follows ``numerics.init_params`` at ``init_std``.
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     shapes = param_shapes(cfg)
@@ -201,8 +190,6 @@ def init_model(cfg: ModelConfig) -> ModelState:
                                   requires_grad=True)
     params.update(nm.init_params({k: v for k, v in shapes.items() if k not in params}, rng,
                                  cfg.init_std))
-    if cfg.learnable_scale:
-        params["refine0.conv.alpha"].data[...] = CONV_SCALE
     return ModelState(cfg, params)
 
 
@@ -515,11 +502,15 @@ def _param_table(meta: dict) -> dict[str, tuple[int, ...]]:
 def _save(path, meta: dict, params: dict[str, nm.Tensor], history: dict,
           optimizer: nm.AdamState | None = None, rng: np.random.Generator | None = None) -> None:
     """Write ``meta/config``, ``param/<name>`` per tensor, ``opt/step`` with
-    ``opt/m/<name>`` and ``opt/v/<name>`` once the optimizer has stepped, the
-    RNG state and ``meta/history``, in that order. Tensors off the table of
+    ``opt/m/<name>`` and ``opt/v/<name>`` when given an optimizer (zero
+    moments, as ``adam_step`` starts them, before its first step), the RNG
+    state and ``meta/history``, in that order. Tensors off the table of
     ``meta`` or a non-dict history raise ``ContractError`` before any write."""
     table = list(_param_table(meta).items())
-    moments = {"opt/m": optimizer.m, "opt/v": optimizer.v} if optimizer and optimizer.m else {}
+    moments = {}
+    if optimizer is not None:
+        zeros = {name: np.zeros(shape) for name, shape in table}
+        moments = {"opt/m": optimizer.m or zeros, "opt/v": optimizer.v or zeros}
     for group, arrays in {"param": params, **moments}.items():
         given = [(name, a.shape) for name, a in arrays.items()]
         if given != table:
@@ -532,8 +523,8 @@ def _save(path, meta: dict, params: dict[str, nm.Tensor], history: dict,
     blobs += [(f"param/{name}", array_to_bytes(t.data)) for name, t in params.items()]
     if moments:
         blobs.append(("opt/step", struct.pack("<Q", optimizer.step)))
-        blobs += [(f"opt/m/{name}", array_to_bytes(m)) for name, m in optimizer.m.items()]
-        blobs += [(f"opt/v/{name}", array_to_bytes(v)) for name, v in optimizer.v.items()]
+        blobs += [(f"{group}/{name}", array_to_bytes(a))
+                  for group, arrays in moments.items() for name, a in arrays.items()]
     if rng is not None:
         blobs.append(("rng/train", _json_bytes(rng.bit_generator.state)))
     blobs.append(("meta/history", _json_bytes(history)))

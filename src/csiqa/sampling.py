@@ -6,7 +6,8 @@ matrix, yielding one short measurement vector per block. The matrix is a
 plain ``numerics.Tensor`` (the model's ``csm.phi``) and B is read off its
 shape. A small reconstruction network (linear per-block expansion plus a
 3-layer convolutional refiner) supports pretraining the matrix on a corpus
-so it starts from a reconstruction-aware initialization.
+so it starts from a reconstruction-aware initialization; a matrix that does
+not require grad stays frozen while the reconstructor trains.
 """
 
 from __future__ import annotations
@@ -283,7 +284,6 @@ def pretrain_csm(
     width: int = 16,
     seed: int = 0,
     matrix: nm.Tensor | None = None,
-    train_matrix: bool = True,
 ) -> tuple[nm.Tensor, CsnetReconstructor, list[float]]:
     """Jointly fit the sampling matrix and reconstructor by Adam on MSE.
 
@@ -293,10 +293,10 @@ def pretrain_csm(
     summed in corpus order, then scaled by 1/len(corpus). Returns the
     trained pieces plus the per-epoch loss before each step; a non-finite
     loss raises ``NumericalDivergenceError`` before its update, and so does
-    a non-finite parameter after the last update, by name. Pass
-    ``train_matrix=False`` to keep the matrix frozen (baseline comparisons).
-    The matrix is sampled through a tensor that shares its array, so the
-    updates land in it while its ``requires_grad`` flag stays as passed.
+    a non-finite parameter after the last update, by name. The matrix
+    trains exactly when it requires grad, and its updates land in the
+    array passed; a matrix with ``requires_grad=False`` stays frozen
+    (baseline comparisons), and the flag is never changed.
     """
     if not corpus:
         raise ContractError("pretraining corpus is empty")
@@ -314,15 +314,14 @@ def pretrain_csm(
     if block_side(matrix) != block_size:
         raise ContractError(
             f"sampling matrix has block size {block_side(matrix)}, requested {block_size}")
-    phi = nm.Tensor(matrix.data, requires_grad=train_matrix)
-    params = {"csm.phi": phi} if train_matrix else {}
+    params = {"csm.phi": matrix} if matrix.requires_grad else {}
     params.update({f"csnet.{name}": t for name, t in rec.params.items()})
     scale = nm.Tensor(1.0 / len(corpus))
     state = nm.AdamState()
     losses: list[float] = []
     for epoch in range(epochs):
         losses.append(nm.descend(
-            params, lambda: nm.mul(_corpus_error(phi, rec, corpus, ratio), scale),
+            params, lambda: nm.mul(_corpus_error(matrix, rec, corpus, ratio), scale),
             state, lr, 0.0, f"pretraining epoch {epoch + 1}"))
     nm.check_finite(params, f"pretraining epoch {epochs}")
     return matrix, rec, losses

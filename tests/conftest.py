@@ -74,6 +74,18 @@ GEOMETRY_ONLY_META = {
 }
 
 
+def write_learnable_scale_checkpoint(path, state) -> str:
+    """Save ``state`` as a checkpoint written while the conv scale was a
+    setting: its config also holds ``"learnable_scale": false``."""
+    save_model(path, state)
+    meta = json.dumps({"kind": "model", "config": {**state.config.to_dict(),
+                                                   "learnable_scale": False}},
+                      sort_keys=True, separators=(",", ":")).encode("utf-8")
+    write_checkpoint(path, [(name, meta if name == "meta/config" else payload)
+                            for name, payload in read_checkpoint(path)])
+    return str(path)
+
+
 def write_geometry_only_checkpoint(path, kind: str) -> str:
     """A ``kind`` checkpoint at ``path`` whose only blob is ``meta/config``."""
     write_checkpoint(path, [("meta/config", json.dumps(GEOMETRY_ONLY_META[kind]).encode())])

@@ -260,7 +260,7 @@ def test_criterion_9_pretraining_value():
         frozen.requires_grad = False
         base_m, base_rec, _ = pretrain_csm(
             corpus, 0.25, epochs=900, lr=3e-3, block_size=4, width=16, seed=seed,
-            matrix=frozen, train_matrix=False)
+            matrix=frozen)
         mse_learned = reconstruction_mse(learned_m, learned_rec, corpus, 0.25)
         mse_frozen = reconstruction_mse(base_m, base_rec, corpus, 0.25)
         assert mse_learned < mse_frozen, f"repetition {rep}"

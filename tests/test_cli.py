@@ -26,6 +26,7 @@ from conftest import (
     frame_checkpoint,
     traced_peak,
     write_geometry_only_checkpoint,
+    write_learnable_scale_checkpoint,
     write_old_format_checkpoint,
 )
 
@@ -124,6 +125,16 @@ class TestTrain:
         captured = capsys.readouterr().out
         assert "best val" in captured
         assert os.path.exists(out)
+
+    def test_parameter_count_printed_before_the_draw(self, toyset, tmp_path, capsys):
+        # the desk config, at no training steps: the file still resumes
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--manifest", toyset["manifest"], "--epochs", "0",
+                     "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        count = lines.index("# parameters = 63842 (510736 bytes)")
+        assert lines[count + 1:] == ["no training steps run", f"wrote {out}"]
+        assert load_model(out).optimizer.step == 0
 
     def test_missing_out_is_usage_error(self, toyset):
         code = main(["train", "--manifest", toyset["manifest"], "--ratio", "0.25"])
@@ -382,6 +393,14 @@ class TestBadCheckpoint:
         assert code == 2 and "unknown keys ['junk']" in captured.err
         assert "PLCC=" not in captured.out and "Traceback" not in captured.err
 
+    def test_eval_on_learnable_scale_key_exits_2(self, toyset, trained_ckpt, tmp_path, capsys):
+        old = write_learnable_scale_checkpoint(tmp_path / "old.ckpt",
+                                               load_model(trained_ckpt).state)
+        code = main(["eval", "--manifest", toyset["manifest"], "--ckpt", old, "--crops", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and "unknown keys ['learnable_scale']" in captured.err
+        assert "PLCC=" not in captured.out and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("command", ["eval", "score"])
     def test_old_format_names_removed_config_keys(self, command, toyset, trained_ckpt,
                                                   tmp_path, capsys):
@@ -451,21 +470,15 @@ class TestCountSettings:
 
 
 class TestOutputDirectory:
-    """An output file in a directory that does not exist is an input error
-    found before any input is read: exit 2 naming the path, nothing but the
-    run header printed."""
+    """An output file in a directory that does not exist, or one that is a
+    directory, is an input error found before any input is read: exit 2
+    naming the path, nothing but the run header printed."""
 
-    @pytest.mark.parametrize("inputs_exist", [True, False], ids=["inputs", "no-inputs"])
-    @pytest.mark.parametrize("command,flag", [
-        ("train", "--out"), ("pretrain", "--out"), ("weight-map", "--out"),
-        ("eval", "--report"), ("score", "--weight-map")])
-    def test_exits_2_before_the_work(self, command, flag, inputs_exist, toyset, trained_ckpt,
-                                     tmp_path, capsys):
-        # with no inputs, an error about the output shows none was read first
-        given = {**toyset, "ckpt": trained_ckpt} if inputs_exist else {
-            name: str(tmp_path / "missing" / name) for name in ("manifest", "corpus", "image",
-                                                                 "ckpt")}
-        out = str(tmp_path / "nodir" / "file")
+    OUTPUTS = [("train", "--out"), ("pretrain", "--out"), ("weight-map", "--out"),
+               ("eval", "--report"), ("score", "--weight-map")]
+
+    @staticmethod
+    def _exits_2_with_header_only(command, given, flag, out, capsys) -> str:
         inputs = {
             "train": ["--manifest", given["manifest"], *TINY_TRAIN],
             "pretrain": ["--corpus", given["corpus"], "--width", "4", "--epochs", "2"],
@@ -475,9 +488,34 @@ class TestOutputDirectory:
         }[command]
         assert main([command, *inputs, flag, out]) == 2
         captured = capsys.readouterr()
-        assert f"cannot write {out}" in captured.err and "Traceback" not in captured.err
-        assert all(line.startswith("# ") for line in captured.out.splitlines())  # header only
+        assert "Traceback" not in captured.err
+        # no epoch, best val, final, wrote or parameter-count line
+        assert all(line.startswith("# ") for line in captured.out.splitlines())
+        assert "# parameters" not in captured.out
+        return captured.err
+
+    @pytest.mark.parametrize("inputs_exist", [True, False], ids=["inputs", "no-inputs"])
+    @pytest.mark.parametrize("command,flag", OUTPUTS)
+    def test_exits_2_before_the_work(self, command, flag, inputs_exist, toyset, trained_ckpt,
+                                     tmp_path, capsys):
+        # with no inputs, an error about the output shows none was read first
+        given = {**toyset, "ckpt": trained_ckpt} if inputs_exist else {
+            name: str(tmp_path / "missing" / name) for name in ("manifest", "corpus", "image",
+                                                                 "ckpt")}
+        out = str(tmp_path / "nodir" / "file")
+        err = self._exits_2_with_header_only(command, given, flag, out, capsys)
+        assert f"cannot write {out}" in err
         assert not (tmp_path / "nodir").exists()
+
+    @pytest.mark.parametrize("command,flag", OUTPUTS)
+    def test_existing_directory_exits_2_before_the_work(self, command, flag, toyset,
+                                                        trained_ckpt, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        err = self._exits_2_with_header_only(command, {**toyset, "ckpt": trained_ckpt}, flag,
+                                             str(out), capsys)
+        assert f"cannot write {out}: it is a directory" in err
+        assert list(out.iterdir()) == []
 
     def test_make_toy_creates_its_directory(self, tmp_path, capsys):
         out = tmp_path / "new" / "toy"
@@ -531,10 +569,8 @@ class TestSettingsTable:
                  if k not in cmd.settings]
 
     def test_every_model_config_field_is_a_setting(self):
-        # ratio_mode is set by --ratio r; learnable_scale and init_std are
-        # library-only
-        library_only = {"ratio_mode", "learnable_scale", "init_std"}
-        assert {f.name for f in fields(ModelConfig)} <= set(SETTINGS) | library_only
+        # ratio_mode is set by --ratio r; init_std is library-only
+        assert {f.name for f in fields(ModelConfig)} - set(SETTINGS) == {"ratio_mode", "init_std"}
 
     @staticmethod
     def _run(command, extra, tmp_path, capsys):

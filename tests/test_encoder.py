@@ -191,8 +191,9 @@ class TestWindowRefine:
     def test_zero_scale_leaves_attention_output(self, rng):
         d, heads = 4, 2
         grid = BlockGrid(2, 2, 1)
-        params = nm.init_params(enc.refiner_shapes(d, True), rng, std=0.02)
-        params["conv.alpha"].data[...] = 0.0
+        params = nm.init_params(enc.refiner_shapes(d), rng, std=0.02)
+        params["conv.w"].data[...] = 0.0
+        params["conv.b"].data[...] = 0.0
         x = nm.Tensor(rng.normal(size=(4, d)))
         root = enc.ParamGroup(params)
         out = enc.window_refine(x, grid, root, heads, 2).data
@@ -203,7 +204,7 @@ class TestWindowRefine:
     def test_matches_independent_step_by_step_evaluation(self, rng):
         d, heads = 2, 1
         grid = BlockGrid(2, 2, 1)
-        params = nm.init_params(enc.refiner_shapes(d, False), rng, std=0.02)
+        params = nm.init_params(enc.refiner_shapes(d), rng, std=0.02)
         x = rng.normal(size=(4, d))
         out = enc.window_refine(nm.Tensor(x), grid, enc.ParamGroup(params), heads, 2).data
 
@@ -237,11 +238,10 @@ class TestWindowRefine:
     def test_gradient_vs_finite_differences(self, rng):
         d, heads = 4, 2
         grid = BlockGrid(2, 2, 1)
-        params = nm.init_params(enc.refiner_shapes(d, True), rng, std=0.3)
-        params["conv.alpha"].data[...] = enc.CONV_SCALE
+        params = nm.init_params(enc.refiner_shapes(d), rng, std=0.3)
         x = rng.normal(size=(4, d))
         readout = nm.Tensor(rng.normal(size=(4, d)))
-        checked = [params["stl0.attn.wq"], params["conv.w"], params["conv.alpha"]]
+        checked = [params["stl0.attn.wq"], params["conv.w"], params["conv.b"]]
 
         def fwd():
             out = enc.window_refine(nm.Tensor(x), grid, enc.ParamGroup(params), heads, 2)

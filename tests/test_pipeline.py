@@ -28,6 +28,7 @@ from conftest import (
     run_fresh,
     traced_peak,
     write_geometry_only_checkpoint,
+    write_learnable_scale_checkpoint,
 )
 
 try:
@@ -136,7 +137,7 @@ class TestForward:
         head = state.group("head")
         for name, t in state.params.items():
             if name.startswith("head."):
-                assert name[len("head."):] in head and head[name[len("head."):]] is t
+                assert head[name[len("head."):]] is t
         assert state.group("enc").group("block0")["ln1.g"] is state.params["enc.block0.ln1.g"]
         bias = state.params["head.score.b2"]
         state.params["head.score.b2"] = nm.Tensor(bias.data + 1.0, requires_grad=True)
@@ -324,9 +325,8 @@ class TestPersistence:
             assert np.array_equal(loaded.state.params[name].data, state.params[name].data)
         assert loaded.state.config.to_dict() == cfg.to_dict()
 
-    @pytest.mark.parametrize("extra", [{}, {"variant": "cs-iqa"}, {"depth": 0},
-                                       {"learnable_scale": True}],
-                             ids=["cl-iqa", "cs-iqa", "depth-0", "learnable-scale"])
+    @pytest.mark.parametrize("extra", [{}, {"variant": "cs-iqa"}, {"depth": 0}],
+                             ids=["cl-iqa", "cs-iqa", "depth-0"])
     def test_param_shapes_are_what_init_and_load_give(self, tmp_path, extra):
         cfg = pl.ModelConfig(**{**TINY, **extra})
         state = pl.init_model(cfg)
@@ -354,6 +354,35 @@ class TestPersistence:
         for name in straight.state.params:
             assert np.array_equal(resumed.state.params[name].data,
                                   straight.state.params[name].data), name
+
+    def test_zero_step_record_resumes_from_its_file(self, tmp_path, tiny_manifest):
+        # before its first step the optimizer has no moments; the file holds
+        # opt/step 0 and the zero moments adam_step would start from
+        cfg = pl.ModelConfig(**TINY, seed=3)
+        settings = pl.TrainSettings(batch=4, lr=1e-3, steps=3, val_every=0)
+        straight = pl.train(tiny_manifest, cfg, settings)
+        zero = pl.train(tiny_manifest, cfg, pl.TrainSettings(batch=4, lr=1e-3, steps=0))
+        path, again = tmp_path / "zero.ckpt", tmp_path / "again.ckpt"
+        pl.save_model(path, zero.state, zero.optimizer, zero.rng, zero.history)
+        loaded = pl.load_model(path)
+        assert loaded.optimizer.step == 0
+        assert all(not m.any() for m in (*loaded.optimizer.m.values(),
+                                          *loaded.optimizer.v.values()))
+        pl.save_model(again, loaded.state, loaded.optimizer, loaded.rng, loaded.history)
+        assert again.read_bytes() == path.read_bytes()
+        for resumed in (pl.train(tiny_manifest, cfg, settings, resume=loaded),
+                        pl.train(tiny_manifest, cfg, settings, resume=zero)):
+            assert resumed.history["loss"] == straight.history["loss"]
+            for name, t in straight.state.params.items():
+                assert np.array_equal(resumed.state.params[name].data, t.data), name
+                assert np.array_equal(resumed.optimizer.m[name], straight.optimizer.m[name])
+
+    def test_parent_learnable_scale_key_is_format_error(self, tmp_path):
+        # files from before the conv scale became a constant hold the key
+        path = write_learnable_scale_checkpoint(tmp_path / "m.ckpt",
+                                                pl.init_model(pl.ModelConfig(**TINY)))
+        with pytest.raises(CheckpointFormatError, match=r"unknown keys \['learnable_scale'\]"):
+            pl.load_model(path)
 
     def test_resume_leaves_its_record_unchanged(self, tiny_manifest):
         cfg = pl.ModelConfig(**TINY, seed=3)
@@ -747,7 +776,8 @@ class TestEvaluation:
 
 class TestConfig:
     def test_paper_scale_expressible(self):
-        cfg = pl.ModelConfig.paper_scale()
+        cfg = pl.ModelConfig(block_size=16, embed_dim=768, depth=12, heads=12,
+                             window=7, crop_size=224)
         assert cfg.block_size == 16 and cfg.embed_dim == 768
         assert cfg.depth == 12 and cfg.heads == 12 and cfg.crop_size == 224
         assert cfg.grid_side == 14 and cfg.window == 7

@@ -372,26 +372,40 @@ class TestBatchedPretrain:
         with pytest.raises(ContractError, match="lr"):
             sp.pretrain_csm([rng.random((8, 8))], 0.25, epochs=1, lr=-1.0, width=4)
 
+    # The matrix trains exactly when it requires grad. A stale .grad it
+    # arrives with is never added into an update: a trained matrix is
+    # cleared before each step, a frozen one is not a parameter.
     @pytest.mark.parametrize("flag", [False, True])
-    @pytest.mark.parametrize("train_matrix", [False, True])
-    def test_matrix_flag_left_as_passed(self, flag, train_matrix, rng):
+    @pytest.mark.parametrize("stale_grad", [False, True])
+    def test_matrix_flag_left_as_passed(self, flag, stale_grad, rng):
         matrix = sp.random_sampling_matrix(4, rng)
         matrix.requires_grad = flag
-        sp.pretrain_csm([rng.random((8, 8))], 0.25, epochs=1, lr=1e-3, width=4,
-                        matrix=matrix, train_matrix=train_matrix)
+        before = matrix.data.copy()
+        if stale_grad:
+            matrix.grad = np.full(matrix.shape, 1e3)
+        corpus = [rng.random((8, 8))]
+        sp.pretrain_csm(corpus, 0.25, epochs=1, lr=1e-3, width=4, matrix=matrix)
         assert matrix.requires_grad is flag
+        assert (not np.array_equal(matrix.data, before)) is flag
+        clean = nm.Tensor(before.copy(), requires_grad=flag)
+        sp.pretrain_csm(corpus, 0.25, epochs=1, lr=1e-3, width=4, matrix=clean)
+        assert np.array_equal(matrix.data, clean.data)
 
     @pytest.mark.parametrize("flag", [False, True])
-    @pytest.mark.parametrize("train_matrix", [False, True])
+    @pytest.mark.parametrize("stale_grad", [False, True])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_matrix_flag_left_as_passed_on_divergence(self, flag, train_matrix, rng):
+    def test_matrix_flag_left_as_passed_on_divergence(self, flag, stale_grad, rng):
         matrix = sp.random_sampling_matrix(4, rng)
         matrix.requires_grad = flag
+        before = matrix.data.copy()
+        if stale_grad:
+            matrix.grad = np.full(matrix.shape, 1e3)
         corpus = [rng.random((8, 8)) for _ in range(2)]
         with pytest.raises(NumericalDivergenceError, match="epoch 2"):
-            sp.pretrain_csm(corpus, 0.25, epochs=4, lr=float("nan"), width=4,
-                            matrix=matrix, train_matrix=train_matrix)
+            sp.pretrain_csm(corpus, 0.25, epochs=4, lr=float("nan"), width=4, matrix=matrix)
         assert matrix.requires_grad is flag
+        # a NaN step sets every trained entry to NaN; a frozen matrix keeps its data
+        assert np.isnan(matrix.data).all() if flag else np.array_equal(matrix.data, before)
 
     def test_non_positive_width_rejected(self, rng):
         with pytest.raises(ContractError, match="width"):
