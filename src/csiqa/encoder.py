@@ -7,7 +7,8 @@ grid, the second with the tiling cyclically shifted by floor(w/2), then a
 3x3 convolution over the grid scaled by the fixed factor ``CONV_SCALE``
 (0.1) and added back as a residual. Window attention uses a cyclic shift
 without attention masking; grids are expected to be divisible by the
-window size.
+window size. Tokens are (L, d) or (N, L, d), one grid per sample, in every
+block and in the refinement.
 
 A block is nine tape records: the q/k/v projections, one fused
 ``numerics.attention`` over every sample (or window) and head, the output
@@ -23,7 +24,6 @@ import math
 from collections.abc import Mapping
 
 from . import numerics as nm
-from .errors import ShapeError
 from .gridops import conv3x3, window_permutation
 from .sampling import BlockGrid
 
@@ -135,21 +135,18 @@ def window_msa(
 ):
     """Multi-head self-attention restricted to w x w windows of the grid.
 
-    ``x`` is (N*L, d): N token grids stacked row-wise. Every window of every
-    sample goes through one fused ``numerics.attention`` record. With
-    ``shift`` the tiling is cyclically rolled before windowing and unrolled
-    afterwards. When the window covers the whole grid this equals global
-    attention with the same parameters. With return_weights also the
-    softmax attention array of shape (N*windows, heads, w*w, w*w).
+    ``x`` is (L, d) or (N, L, d), one token grid per sample, and the result
+    has its shape. Every window of every sample goes through one fused
+    ``numerics.attention`` record. With ``shift`` the tiling is cyclically
+    rolled before windowing and unrolled afterwards. When the window covers
+    the whole grid this equals global attention with the same parameters.
+    With return_weights also the softmax attention array of shape
+    (N*windows, heads, w*w, w*w).
     """
-    n, d = x.shape
-    if n % grid.num_blocks:
-        raise ShapeError(f"{n} tokens do not fill whole {grid.blocks_h}x{grid.blocks_w} grids")
-    order, inverse = window_permutation(
-        grid.blocks_h, grid.blocks_w, window, shift, n // grid.num_blocks)
+    order, inverse = window_permutation(grid.blocks_h, grid.blocks_w, window, shift)
     xw = nm.permute_rows(x, order, inverse)
-    attended = nm.attention(*_project_qkv(xw, p), n // (window * window), heads,
-                            return_weights)
+    attended = nm.attention(*_project_qkv(xw, p), x.size // (x.shape[-1] * window * window),
+                            heads, return_weights)
     if return_weights:
         attended, weights = attended
     projected = nm.affine(attended, p["attn.wo"], p["attn.ob"])
@@ -202,10 +199,8 @@ def window_refine(
     a cyclic shift of floor(w/2) on odd i, none on even i. The output is
     CONV_SCALE * Conv3x3(tokens) + tokens.
     """
-    shape = x.shape
-    x = nm.reshape(x, (x.size // shape[-1], shape[-1]))
     for i in range(REFINE_LAYERS):
         shift = (window // 2) if i % 2 else 0
         x = window_block(x, grid, params.group(f"stl{i}"), heads, window, shift)
     conv_out = conv3x3(x, grid.blocks_h, grid.blocks_w, params["conv.w"], params["conv.b"])
-    return nm.reshape(nm.add(nm.mul(conv_out, nm.Tensor(CONV_SCALE)), x), shape)
+    return nm.add(nm.mul(conv_out, nm.Tensor(CONV_SCALE)), x)

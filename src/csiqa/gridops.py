@@ -1,9 +1,11 @@
-"""Operations on 2-D grids of tokens or pixels, N grids stacked row-wise.
+"""Operations on 2-D grids of tokens or pixels, one row-major grid per
+sample: arrays (..., H*W, C) whose leading axes are samples.
 
-Window attention reorders tokens by a cached permutation and its inverse
-(``window_permutation``), whose backward through ``numerics.permute_rows``
-is a gather by the inverse. The 3x3 convolution is one tape record whose
-input gradient is nine contiguous adds on the flattened zero-padded grid.
+Window attention reorders each sample's tokens by one cached permutation
+and its inverse (``window_permutation``), whose backward through
+``numerics.permute_rows`` is a gather by the inverse. The 3x3 convolution
+is one tape record, a matrix product over the rows of all samples, whose
+input gradient is nine contiguous adds on the flattened zero-padded grids.
 Neither needs a scatter. With one output channel, as in the last layer of
 the pretraining reconstructor, each neighbour's share of the input
 gradient is one product per entry, so it is taken channel-major by
@@ -20,25 +22,15 @@ from . import numerics as nm
 from .errors import ShapeError
 
 
-def _per_sample(index: np.ndarray, batch: int, rows: int) -> np.ndarray:
-    """Repeat a one-sample row index over ``batch`` samples stacked ``rows``
-    apart, offsetting each copy into its own sample."""
-    if batch == 1:
-        return index
-    offsets = rows * np.arange(batch, dtype=np.int64)[:, None]
-    return (index + offsets).reshape(-1)
-
-
 @lru_cache(maxsize=256)
 def window_permutation(
-    grid_h: int, grid_w: int, window: int, shift: int, batch: int = 1
+    grid_h: int, grid_w: int, window: int, shift: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Token order grouping a (cyclically shifted) grid into square windows.
 
     Returns (order, inverse): ``order`` lists token indices window by window;
     ``inverse`` undoes it, so reordering by ``order`` then ``inverse``
-    restores the original token sequence. With ``batch`` samples stacked
-    row-wise, each sample's windows follow the previous sample's.
+    restores the original token sequence.
     """
     if grid_h % window or grid_w % window:
         raise ShapeError(
@@ -54,36 +46,55 @@ def window_permutation(
     )
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size, dtype=np.int64)
-    rows = grid_h * grid_w
-    return _per_sample(order, batch, rows), _per_sample(inverse, batch, rows)
+    return order, inverse
+
+
+def im2col3x3(x: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Zero-padded 3x3 neighbourhood of every position of ``x``, (..., H*W, C).
+
+    Returns (positions, 9*C): each sample's positions in order, each row
+    holding its nine neighbours row by row (neighbour-major, channel-minor);
+    neighbours outside a grid read as zero, so samples never mix.
+    """
+    c = x.shape[-1]
+    grids = x.reshape(-1, height, width, c)
+    padded = np.zeros((grids.shape[0], height + 2, width + 2, c))
+    padded[:, 1:-1, 1:-1] = grids
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, 9 * c)
 
 
 def conv3x3(x: nm.Tensor, height: int, width: int, weight: nm.Tensor, bias: nm.Tensor) -> nm.Tensor:
     """3x3 same-padding convolution over tokens laid out on a grid, one tape op.
 
-    x is (N*height*width, C_in), N grids stacked row-wise; weight is
-    (9*C_in, C_out), neighbor-major. The forward is im2col(x) @ weight + bias.
+    x is (..., height*width, C_in), one grid per sample; weight is
+    (9*C_in, C_out), neighbor-major. The forward is im2col(x) @ weight + bias
+    on the rows of all samples, shaped back to (..., height*width, C_out).
     """
-    cols = nm.im2col3x3(x.data, height, width)
+    if x.ndim < 2 or x.shape[-2] != height * width:
+        raise ShapeError(f"tokens {x.shape} are not one {height}x{width} grid per sample")
+    cols = im2col3x3(x.data, height, width)
     if weight.shape[0] != cols.shape[1] or bias.shape != weight.shape[1:]:
         raise ShapeError(
-            f"kernel {weight.shape} and bias {bias.shape} do not fit {x.shape[1]} channels")
+            f"kernel {weight.shape} and bias {bias.shape} do not fit {x.shape[-1]} channels")
     out = cols @ weight.data + bias.data
 
     def backprop(g):
+        rows = g.reshape(-1, g.shape[-1])
         if x.requires_grad:
-            gp = _padded_input_grad(g, weight.data, height, width)
+            gp = _padded_input_grad(g.reshape(-1, height, width, g.shape[-1]), weight.data)
             nm._accumulate(x, gp[:, 1:-1, 1:-1].reshape(x.shape))
         if weight.requires_grad:
-            nm._accumulate(weight, cols.T @ g)
+            nm._accumulate(weight, cols.T @ rows)
         if bias.requires_grad:
-            nm._accumulate(bias, g.sum(axis=0))
+            nm._accumulate(bias, rows.sum(axis=0))
 
-    return nm._make(out, (x, weight, bias), backprop)
+    return nm._make(out.reshape(*x.shape[:-1], out.shape[1]), (x, weight, bias), backprop)
 
 
-def _padded_input_grad(g: np.ndarray, weight: np.ndarray, height: int, width: int) -> np.ndarray:
-    """``conv3x3``'s input gradient on the zero-padded grids, (N, H+2, W+2, C_in).
+def _padded_input_grad(g: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``conv3x3``'s input gradient on the zero-padded grids, (N, H+2, W+2, C_in),
+    from the output gradient ``g`` on the grids, (N, H, W, C_out).
 
     On the padded grids flattened to rows, the window cornered at row p
     covers rows p + dr*(width+2) + dc for neighbour k = 3*dr + dc. So with
@@ -98,13 +109,12 @@ def _padded_input_grad(g: np.ndarray, weight: np.ndarray, height: int, width: in
     Matrix products for more output channels stay row-major; channel-major
     ones round differently for some shapes.
     """
-    n, c_out = g.shape
-    c_in = weight.shape[0] // 9
-    batch, pitch = n // (height * width), width + 2
+    batch, height, width, c_out = g.shape
+    c_in, pitch = weight.shape[0] // 9, width + 2
     rows = batch * (height + 2) * pitch
     corners = rows - 2 * pitch - 2  # rows that can be a window's corner
     g_pad = np.zeros((batch, height + 2, pitch, c_out))
-    g_pad[:, :height, :width] = g.reshape(batch, height, width, c_out)
+    g_pad[:, :height, :width] = g
     g_pad = g_pad.reshape(rows, c_out)[:corners]
     offsets = [(k, k // 3 * pitch + k % 3) for k in range(8, -1, -1)]
     if c_out == 1:

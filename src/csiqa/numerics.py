@@ -13,15 +13,18 @@ no recording and is safe to run in parallel over read-only tensors.
 
 The module holds the ops the model calls, each taking ``Tensor``s (a
 constant factor is ``mul`` by a ``Tensor``), plus ``bmm`` and
-``gather_rows``, which ``perfbench/tracer.py`` still wraps. The encoder's
-hot path uses three fused kernels (``attention``, ``residual_layer_norm``,
-``affine_gelu``), one tape record each, bitwise equal to the chains of
-plain ops that ``tests/unfused.py`` composes as their reference. Both
-trainers take their optimizer steps through ``descend`` (one tape, the
-divergence check, ``adam_step``) and end with ``check_finite``. Parameters
-travel as a name -> tensor dict; ``adam_step`` reads each one's ``.grad``
-and keeps its Adam moments under the same name, which is also how a
-checkpoint stores them.
+``gather_rows``, which ``perfbench/tracer.py`` still wraps. Leading axes
+are samples: ``affine`` and ``matmul`` treat them as more rows, and take
+their gradients as products on the 2-D (-1, C) row view, and
+``permute_rows`` reorders every sample's rows (axis -2) alike. The
+encoder's hot path uses three fused kernels (``attention``,
+``residual_layer_norm``, ``affine_gelu``), one tape record each, bitwise
+equal to the chains of plain ops that ``tests/unfused.py`` composes as
+their reference. Both trainers take their optimizer steps through
+``descend`` (one tape, the divergence check, ``adam_step``) and end with
+``check_finite``. Parameters travel as a name -> tensor dict;
+``adam_step`` reads each one's ``.grad`` and keeps its Adam moments under
+the same name, which is also how a checkpoint stores them.
 """
 
 from __future__ import annotations
@@ -252,15 +255,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul needs a rank >= 2 and a rank-2 tensor, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    out = a.data @ b.data
-
-    def backprop(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, g.shape[-1]))
-
-    return _make(out, (a, b), backprop)
+    return _make(a.data @ b.data, (a, b), lambda g: _affine_backprop(a, b, None, g))
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -297,14 +292,15 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, (x, w, b), lambda g: _affine_backprop(x, w, b, g))
 
 
-def _affine_backprop(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
-    """Accumulate the gradients of ``x @ w + b`` given the output's ``g``."""
-    if x.requires_grad:
-        _accumulate(x, g @ w.data.T)
+def _affine_backprop(x: Tensor, w: Tensor, b: Tensor | None, g: np.ndarray) -> None:
+    """Accumulate the gradients of ``x @ w + b`` (``b`` None: ``x @ w``) given
+    the output's ``g``, every product on the 2-D row view."""
     rows = g.reshape(-1, g.shape[-1])
+    if x.requires_grad:
+        _accumulate(x, (rows @ w.data.T).reshape(x.shape))
     if w.requires_grad:
         _accumulate(w, x.data.reshape(-1, w.shape[0]).T @ rows)
-    if b.requires_grad:
+    if b is not None and b.requires_grad:
         _accumulate(b, rows.sum(axis=0))
 
 
@@ -372,44 +368,24 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
 
 
 def permute_rows(x: Tensor, order: np.ndarray, inverse: np.ndarray) -> Tensor:
-    """Reorder rows: output row i is ``x[order[i]]``.
+    """Reorder the rows of each sample: along axis -2, output row i is
+    input row ``order[i]``.
 
     ``inverse`` must be the inverse permutation (``inverse[order[i]] == i``);
-    the backward is then the gather ``g[inverse]``, with no scatter.
+    the backward is then the gather by ``inverse``, with no scatter.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"permute_rows expects rank 2, got {x.shape}")
-    if order.shape != (x.shape[0],) or inverse.shape != (x.shape[0],):
+    if x.ndim < 2:
+        raise ShapeError(f"permute_rows expects rank >= 2, got {x.shape}")
+    if order.shape != (x.shape[-2],) or inverse.shape != (x.shape[-2],):
         raise ShapeError(
             f"permutation shapes {order.shape} and {inverse.shape} do not match "
-            f"{x.shape[0]} rows")
+            f"{x.shape[-2]} rows")
 
     def backprop(g):
         if x.requires_grad:
-            _accumulate(x, g[inverse])
+            _accumulate(x, g.take(inverse, axis=-2))
 
-    return _make(x.data[order], (x,), backprop)
-
-
-def im2col3x3(x: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Zero-padded 3x3 neighbourhood of every position of stacked grids.
-
-    ``x`` is (N*height*width, C): N grids stacked row-wise, each row-major.
-    Returns (N*height*width, 9*C), one row per position holding its nine
-    neighbours row by row (neighbour-major, channel-minor); neighbours
-    outside a grid read as zero, and grids never see each other's pixels.
-    Plain arrays, not recorded on a tape.
-    """
-    if x.ndim != 2:
-        raise ShapeError(f"im2col3x3 expects rank 2, got {x.shape}")
-    n, c = x.shape
-    if n % (height * width):
-        raise ShapeError(f"{n} rows do not fill whole {height}x{width} grids")
-    batch = n // (height * width)
-    padded = np.zeros((batch, height + 2, width + 2, c))
-    padded[:, 1:-1, 1:-1] = x.reshape(batch, height, width, c)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, 9 * c)
+    return _make(x.data.take(order, axis=-2), (x,), backprop)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:

@@ -95,7 +95,8 @@ class ModelConfig:
         for name, least in (("block_size", 1), ("embed_dim", 1), ("depth", 0), ("heads", 1),
                             ("window", 1), ("crop_size", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                    or value < least:
                 raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
         for name in ("init_std", "embed_gain"):
             if not getattr(self, name) >= 0:  # NaN fails too
@@ -412,6 +413,13 @@ def train(
             raise ContractError("checkpoint has no optimizer/RNG state to resume from")
         if not all(isinstance(history.get(k), list) for k in ("loss", "val")):
             raise ContractError("checkpoint has no loss and validation history to resume from")
+        bad = [f"loss[{i}] = {v!r}" for i, v in enumerate(history["loss"])
+               if type(v) not in (int, float)]
+        bad += [f"val[{i}] = {v!r}" for i, v in enumerate(history["val"])
+                if not (isinstance(v, dict) and type(v.get("step")) is int
+                        and type(v.get("mse")) in (int, float))]
+        if bad:
+            raise ContractError(f"checkpoint history entry {bad[0]} is not a step's record")
         saved, given = state.config.to_dict(), cfg.to_dict()
         changed = [f"{k}={saved[k]!r} (given {given[k]!r})" for k in saved if saved[k] != given[k]]
         if changed:

@@ -5,8 +5,9 @@ multiplied by the first ceil(ratio * B^2) rows of a learnable B^2 x B^2 base
 matrix, yielding one short measurement vector per block. The matrix is a
 plain ``numerics.Tensor`` (the model's ``csm.phi``) and B is read off its
 shape. A small reconstruction network (linear per-block expansion plus a
-3-layer convolutional refiner) supports pretraining the matrix on a corpus
-so it starts from a reconstruction-aware initialization; a matrix that does
+3-layer convolutional refiner over each image's (H*W, 1) pixel grid)
+supports pretraining the matrix on a corpus so it starts from a
+reconstruction-aware initialization; a matrix that does
 not require grad stays frozen while the reconstructor trains.
 """
 
@@ -55,7 +56,9 @@ class MeasurementSet:
     """Per-block measurement vectors stacked into an (N*L, m) tensor.
 
     Rows are the blocks of N same-sized images, image by image, each in
-    scan order; a single image is the N=1 case.
+    scan order; a single image is the N=1 case. Everything after the
+    measurement (tokens, grid ops, the reconstruction) keeps N as a
+    leading axis instead.
     """
 
     values: nm.Tensor
@@ -192,7 +195,7 @@ class CsnetReconstructor:
 def reconstructor_shapes(block_size: int, ratio: float, width: int) -> dict[str, tuple[int, ...]]:
     """Parameter shapes of the reconstructor, in draw order."""
     for name, value in (("block_size", block_size), ("width", width)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise ContractError(f"reconstructor {name} must be a positive integer, got {value!r}")
     m = measurement_count(block_size, ratio)
     side = block_size * block_size
@@ -222,9 +225,10 @@ def init_reconstructor(
 def csnet_reconstruct(rec: CsnetReconstructor, meas: MeasurementSet) -> nm.Tensor:
     """Reconstruct the padded images from measurements; fully differentiable.
 
-    Returns (H, W) for one image's measurements, (N, H, W) for N images.
-    Blocks are laid back onto the pixel grid by a reshape and an axis
-    permutation, so the backward is a transposition, not a scatter.
+    Returns (N, H, W) for N images' measurements, (1, H, W) for one image.
+    Blocks are laid back onto each image's pixel grid, (N, H*W, 1), by a
+    reshape and an axis permutation, so the backward is a transposition,
+    not a scatter.
     """
     if meas.grid.block_size != rec.block_size:
         raise ContractError(
@@ -240,12 +244,11 @@ def csnet_reconstruct(rec: CsnetReconstructor, meas: MeasurementSet) -> nm.Tenso
     p = rec.params
     blocks_hat = nm.affine(meas.values, p["init.w"], p["init.b"])
     blocks_hat = nm.reshape(blocks_hat, (meas.batch, grid.blocks_h, grid.blocks_w, b, b))
-    pixels = nm.reshape(nm.permute(blocks_hat, (0, 1, 3, 2, 4)), (blocks_hat.size, 1))
+    pixels = nm.reshape(nm.permute(blocks_hat, (0, 1, 3, 2, 4)), (meas.batch, h * w, 1))
     x = nm.relu(conv3x3(pixels, h, w, p["conv1.w"], p["conv1.b"]))
     x = nm.relu(conv3x3(x, h, w, p["conv2.w"], p["conv2.b"]))
     residual = conv3x3(x, h, w, p["conv3.w"], p["conv3.b"])
-    shape = (h, w) if meas.batch == 1 else (meas.batch, h, w)
-    return nm.reshape(nm.add(pixels, residual), shape)
+    return nm.reshape(nm.add(pixels, residual), (meas.batch, h, w))
 
 
 def _corpus_error(

@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 import warnings
@@ -400,6 +401,31 @@ class TestBadCheckpoint:
         captured = capsys.readouterr()
         assert code == 2 and "unknown keys ['learnable_scale']" in captured.err
         assert "PLCC=" not in captured.out and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("kind,name", [("model", "window"), ("model", "seed"),
+                                           ("csm-pretrain", "width")])
+    def test_boolean_for_an_integer_exits_2(self, kind, name, toyset, trained_ckpt, tmp_path,
+                                            capsys):
+        """``true`` where the config needs an integer is a format error that
+        names the field, not a traceback inside the model or a silent 1."""
+        ckpt, out = tmp_path / "bool.ckpt", tmp_path / "m.ckpt"
+        if kind == "model":
+            source, args = trained_ckpt, ["score", "--image", toyset["image"], "--ckpt", str(ckpt)]
+        else:
+            source, rng = tmp_path / "csm.ckpt", np.random.default_rng(0)
+            save_pretrained_csm(source, random_sampling_matrix(4, rng),
+                                init_reconstructor(4, 0.25, rng, width=4), [])
+            args = ["train", "--manifest", toyset["manifest"], "--csm", str(ckpt),
+                    "--out", str(out), *TINY_TRAIN]
+        blobs = dict(read_checkpoint(source))
+        meta = json.loads(blobs["meta/config"])
+        (meta["config"] if kind == "model" else meta)[name] = True
+        blobs["meta/config"] = json.dumps(meta).encode("utf-8")
+        write_checkpoint(ckpt, list(blobs.items()))
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2 and f"{name} must be" in captured.err and "True" in captured.err
+        assert "Traceback" not in captured.err and not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "score"])
     def test_old_format_names_removed_config_keys(self, command, toyset, trained_ckpt,

@@ -10,6 +10,7 @@ import pytest
 from csiqa import encoder as enc
 from csiqa import numerics as nm
 from csiqa import sampling as sp
+from csiqa.errors import ShapeError
 from csiqa.gridops import conv3x3, window_permutation
 from csiqa.sampling import BlockGrid
 
@@ -31,22 +32,31 @@ def conv3x3_index(height, width, batch):
     return np.where(idx >= 0, idx + offsets, -1).reshape(-1)
 
 
+def stacked(index, batch, rows):
+    """A one-sample row index repeated over ``batch`` samples stacked
+    ``rows`` apart, each copy offset into its own sample."""
+    return (index + rows * np.arange(batch, dtype=np.int64)[:, None]).reshape(-1)
+
+
 def reference_conv3x3(x, height, width, weight, bias):
-    n, c = x.shape
-    gathered = nm.gather_rows(x, conv3x3_index(height, width, n // (height * width)))
-    return nm.affine(nm.reshape(gathered, (n, 9 * c)), weight, bias)
+    batch, _, c = x.shape
+    n = batch * height * width
+    rows = nm.reshape(x, (n, c))
+    gathered = nm.gather_rows(rows, conv3x3_index(height, width, batch))
+    out = nm.affine(nm.reshape(gathered, (n, 9 * c)), weight, bias)
+    return nm.reshape(out, (batch, height * width, weight.shape[1]))
 
 
 def reference_window_msa(x, grid, p, heads, window, shift):
-    n, d = x.shape
-    order, inverse = window_permutation(
-        grid.blocks_h, grid.blocks_w, window, shift, n // grid.num_blocks)
+    batch, tokens, d = x.shape
+    n = batch * tokens
+    order, inverse = window_permutation(grid.blocks_h, grid.blocks_w, window, shift)
     area = window * window
-    xw = nm.gather_rows(x, order)
+    xw = nm.gather_rows(nm.reshape(x, (n, d)), stacked(order, batch, tokens))
     q, k, v = (split_heads(t, n // area, area, heads) for t in enc._project_qkv(xw, p))
     out, _ = batched_attention(q, k, v, d // heads)
     projected = nm.affine(merge_heads(out, (n, d)), p["attn.wo"], p["attn.ob"])
-    return nm.gather_rows(projected, inverse)
+    return nm.reshape(nm.gather_rows(projected, stacked(inverse, batch, tokens)), x.shape)
 
 
 def value_and_grads(fn, inputs, readout):
@@ -73,11 +83,10 @@ def value_and_grads(fn, inputs, readout):
 ])
 def test_conv3x3_bitwise_equals_gather_scatter_reference(
         batch, height, width, channels, out_channels, rng):
-    n = batch * height * width
-    x = nm.Tensor(rng.normal(size=(n, channels)), requires_grad=True)
+    x = nm.Tensor(rng.normal(size=(batch, height * width, channels)), requires_grad=True)
     weight = nm.Tensor(rng.normal(size=(9 * channels, out_channels)), requires_grad=True)
     bias = nm.Tensor(rng.normal(size=out_channels), requires_grad=True)
-    readout = rng.normal(size=(n, out_channels))
+    readout = rng.normal(size=(batch, height * width, out_channels))
     inputs = [x, weight, bias]
     new = value_and_grads(lambda: conv3x3(x, height, width, weight, bias), inputs, readout)
     ref = value_and_grads(
@@ -91,9 +100,8 @@ def test_conv3x3_backward_writes_only_its_own_arrays(channels, out_channels, rng
     """The backward leaves its incoming gradient, every input's data and
     every earlier gradient untouched."""
     height, width, batch = 5, 7, 3
-    n = batch * height * width
     inputs = [
-        nm.Tensor(rng.normal(size=(n, channels)), requires_grad=True),
+        nm.Tensor(rng.normal(size=(batch, height * width, channels)), requires_grad=True),
         nm.Tensor(rng.normal(size=(9 * channels, out_channels)), requires_grad=True),
         nm.Tensor(rng.normal(size=out_channels), requires_grad=True),
     ]
@@ -129,9 +137,8 @@ def test_window_msa_bitwise_equals_gather_scatter_reference(batch, shift, rng):
     d, heads, window = 8, 2, 2
     grid = BlockGrid(4, 6, 1)
     p = nm.init_params(enc.block_shapes(d), rng, std=0.3)
-    n = batch * grid.num_blocks
-    x = nm.Tensor(rng.normal(size=(n, d)), requires_grad=True)
-    readout = rng.normal(size=(n, d))
+    x = nm.Tensor(rng.normal(size=(batch, grid.num_blocks, d)), requires_grad=True)
+    readout = rng.normal(size=(batch, grid.num_blocks, d))
     inputs = [x] + list(p.values())
     new = value_and_grads(
         lambda: enc.window_msa(x, grid, p, heads, window, shift), inputs, readout)
@@ -139,3 +146,61 @@ def test_window_msa_bitwise_equals_gather_scatter_reference(batch, shift, rng):
         lambda: reference_window_msa(x, grid, p, heads, window, shift), inputs, readout)
     for name, a, b in zip(["out", "x"] + list(p), new, ref):
         assert np.array_equal(a, b), name
+
+
+# batch, grid height, grid width, window, shift
+GEOMETRIES = [(1, 2, 2, 1, 0), (2, 2, 2, 2, 1), (3, 2, 4, 2, 0), (2, 4, 6, 1, 1),
+              (3, 4, 6, 2, 1)]
+D, HEADS = 8, 2
+
+
+def grid_ops(rng, height, width, window, shift):
+    """Each grid op on one geometry, as a function of its tokens (..., L, C)."""
+    grid = BlockGrid(height, width, 1)
+    block = nm.init_params(enc.block_shapes(D), rng, std=0.3)
+    refiner = enc.ParamGroup(nm.init_params(enc.refiner_shapes(D), rng, std=0.3))
+    weight = nm.Tensor(rng.normal(size=(9 * D, 5)))
+    bias = nm.Tensor(rng.normal(size=5))
+    return {
+        "window_msa": lambda x: enc.window_msa(x, grid, block, HEADS, window, shift),
+        "window_refine": lambda x: enc.window_refine(x, grid, refiner, HEADS, window),
+        "conv3x3": lambda x: conv3x3(x, height, width, weight, bias),
+    }
+
+
+def output_and_input_grad(op, x, readout):
+    x = nm.Tensor(x, requires_grad=True)
+    return value_and_grads(lambda: op(x), [x], readout)
+
+
+@pytest.mark.parametrize("batch,height,width,window,shift", GEOMETRIES)
+def test_grid_ops_on_a_stack_equal_each_sample_alone(batch, height, width, window, shift, rng):
+    x = rng.normal(size=(batch, height * width, D))
+    for name, op in grid_ops(rng, height, width, window, shift).items():
+        readout = rng.normal(size=op(nm.Tensor(x)).shape)
+        out, grad = output_and_input_grad(op, x, readout)
+        for i in range(batch):
+            alone, alone_grad = output_and_input_grad(op, x[i], readout[i])
+            assert np.max(np.abs(out[i] - alone)) <= 1e-12, name
+            assert np.max(np.abs(grad[i] - alone_grad)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("height,width,window,shift", [g[1:] for g in GEOMETRIES])
+def test_grid_ops_one_sample_equals_its_stack_of_one(height, width, window, shift, rng):
+    x = rng.normal(size=(height * width, D))
+    for name, op in grid_ops(rng, height, width, window, shift).items():
+        readout = rng.normal(size=op(nm.Tensor(x)).shape)
+        out, grad = output_and_input_grad(op, x, readout)
+        stacked_out, stacked_grad = output_and_input_grad(op, x[None], readout[None])
+        assert out.shape == stacked_out.shape[1:], name
+        assert np.array_equal(out, stacked_out[0]), name
+        assert np.array_equal(grad, stacked_grad[0]), name
+
+
+@pytest.mark.parametrize("shape", [(10, D), (2 * 12, D), (2, 10, D), (12,)])
+def test_tokens_not_one_grid_per_sample_rejected(shape, rng):
+    """(N*L, C) rows of stacked grids are no longer a layout: the token axis
+    must hold exactly one grid."""
+    for name, op in grid_ops(rng, 3, 4, 1, 0).items():
+        with pytest.raises(ShapeError):
+            op(nm.Tensor(np.zeros(shape)))

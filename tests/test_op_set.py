@@ -6,7 +6,8 @@ and ``gather_rows`` stay in ``numerics`` while ``perfbench/tracer.py``
 wraps them; the second test keeps both lists honest. The third holds the
 benchmark's op boundary to one ``adam_step`` per optimizer update, and the
 fourth runs each benchmark workload once, so a change to an API it calls
-fails here rather than only in a benchmark run.
+fails here rather than only in a benchmark run. No linter is installed, so
+an AST pass also finds any name a module imports and never uses.
 """
 
 import ast
@@ -58,6 +59,24 @@ def test_every_public_numerics_name_is_used_by_another_module():
             used |= numerics_references(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(defined - used) == sorted(UNCALLED)
     assert set(UNCALLED) <= defined
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads, in import order."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {path.name: unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
 
 
 def test_benchmark_wrap_targets_all_exist(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import platform
+import re
 import sys
 from dataclasses import replace
 
@@ -462,6 +463,22 @@ class TestPersistence:
                       history=history)
         with pytest.raises(ContractError, match="history"):
             pl.train(tiny_manifest, cfg, pl.TrainSettings(batch=4, lr=1e-3, steps=2, val_every=0),
+                     resume=pl.load_model(path))
+
+    @pytest.mark.parametrize("history,entry", [
+        ({"loss": [0.5], "val": [{"step": 1}]}, "val[0] = {'step': 1}"),
+        ({"loss": [0.5, "x"], "val": []}, "loss[1] = 'x'"),
+    ], ids=["val-without-mse", "loss-not-a-number"])
+    def test_resume_with_bad_history_entry_is_contract_error(self, tmp_path, tiny_manifest,
+                                                             history, entry):
+        cfg = pl.ModelConfig(**TINY, seed=3)
+        first = pl.train(tiny_manifest, cfg,
+                         pl.TrainSettings(batch=4, lr=1e-3, steps=1, val_every=0))
+        path = tmp_path / "m.ckpt"
+        pl.save_model(path, first.state, optimizer=first.optimizer, rng=first.rng,
+                      history=history)
+        with pytest.raises(ContractError, match=re.escape(entry)):
+            pl.train(tiny_manifest, cfg, pl.TrainSettings(batch=4, lr=1e-3, steps=3, val_every=0),
                      resume=pl.load_model(path))
 
     @pytest.mark.parametrize("config_blob,message", [

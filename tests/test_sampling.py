@@ -202,18 +202,21 @@ class TestReconstructor:
         values = rng.normal(size=(6, 4))
         out = sp.csnet_reconstruct(rec, sp.MeasurementSet(nm.Tensor(values), grid))
         blocks = values @ rec.params["init.w"].data + rec.params["init.b"].data
-        assert np.array_equal(out.data, merge_blocks(blocks, grid))
+        assert out.shape == (1, *grid.padded_shape)
+        assert np.array_equal(out.data[0], merge_blocks(blocks, grid))
 
     def test_batch_reconstructs_each_image(self, rng):
         rec = sp.init_reconstructor(4, 0.25, rng, width=4)
         rec.params["conv3.w"] = nm.Tensor(rng.normal(size=(36, 1)), requires_grad=True)
-        imgs = rng.random((2, 8, 12))
         matrix = sp.random_sampling_matrix(4, rng)
-        both = sp.csnet_reconstruct(rec, sp.sample(matrix, imgs, 0.25)).data
-        assert both.shape == (2, 8, 12)
-        for img, out in zip(imgs, both):
-            single = sp.csnet_reconstruct(rec, sp.sample(matrix, img, 0.25)).data
-            assert np.max(np.abs(out - single)) <= 1e-12
+        for shape in ((2, 8, 12), (1, 8, 8), (3, 12, 4)):
+            imgs = rng.random(shape)
+            stack = sp.csnet_reconstruct(rec, sp.sample(matrix, imgs, 0.25)).data
+            assert stack.shape == shape
+            for img, out in zip(imgs, stack):
+                single = sp.csnet_reconstruct(rec, sp.sample(matrix, img, 0.25)).data
+                assert single.shape == (1, *shape[1:])
+                assert np.max(np.abs(out - single[0])) <= 1e-12
 
     def test_identity_configuration_is_lossless(self, rng):
         b = 4
