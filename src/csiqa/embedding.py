@@ -19,7 +19,7 @@ from .sampling import MeasurementSet
 def embed(matrix: nm.Tensor, meas: MeasurementSet) -> nm.Tensor:
     """Map each measurement row through the column-truncated (d, B^2) matrix.
 
-    Every image of a batch shares the one product: (N*L, m) -> (N*L, d).
+    Every image of a batch shares the one product: (..., L, m) -> (..., L, d).
     """
     m, width = meas.measurement_length, matrix.shape[1]
     if m > width:
@@ -29,7 +29,7 @@ def embed(matrix: nm.Tensor, meas: MeasurementSet) -> nm.Tensor:
 
 
 def bypass_embed(meas: MeasurementSet, embed_dim: int) -> nm.Tensor:
-    """Zero-pad measurements to the token width; no learnable parameters."""
+    """Zero-pad (..., L, m) measurements to the token width; no parameters."""
     m = meas.measurement_length
     if m > embed_dim:
         raise ContractError(
@@ -37,7 +37,7 @@ def bypass_embed(meas: MeasurementSet, embed_dim: int) -> nm.Tensor:
             f"lower the ratio or raise the embedding dimension")
     if m == embed_dim:
         return meas.values
-    pad = nm.Tensor(np.zeros((meas.values.shape[0], embed_dim - m)))
+    pad = nm.Tensor(np.zeros((*meas.values.shape[:-1], embed_dim - m)))
     return nm.concat_cols([meas.values, pad])
 
 

@@ -145,8 +145,8 @@ def window_msa(
     """
     order, inverse = window_permutation(grid.blocks_h, grid.blocks_w, window, shift)
     xw = nm.permute_rows(x, order, inverse)
-    attended = nm.attention(*_project_qkv(xw, p), x.size // (x.shape[-1] * window * window),
-                            heads, return_weights)
+    windows = math.prod(x.shape[:-2]) * grid.num_blocks // (window * window)
+    attended = nm.attention(*_project_qkv(xw, p), windows, heads, return_weights)
     if return_weights:
         attended, weights = attended
     projected = nm.affine(attended, p["attn.wo"], p["attn.ob"])

@@ -14,8 +14,9 @@ no recording and is safe to run in parallel over read-only tensors.
 The module holds the ops the model calls, each taking ``Tensor``s (a
 constant factor is ``mul`` by a ``Tensor``), plus ``bmm`` and
 ``gather_rows``, which ``perfbench/tracer.py`` still wraps. Leading axes
-are samples: ``affine`` and ``matmul`` treat them as more rows, and take
-their gradients as products on the 2-D (-1, C) row view, and
+are samples: ``matmul``, ``affine`` and ``affine_gelu`` treat them as more
+rows, and take every product, forward and backward, on the 2-D (-1, C)
+row view; ``slice_cols`` and ``concat_cols`` work on the last axis, and
 ``permute_rows`` reorders every sample's rows (axis -2) alike. The
 encoder's hot path uses three fused kernels (``attention``,
 ``residual_layer_norm``, ``affine_gelu``), one tape record each, bitwise
@@ -248,14 +249,13 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` over the last axis of a; leading axes of a (a batch of
-    samples) are treated as more rows, as in ``affine``."""
+    """``a @ b`` over the last axis of a, on its row view (``_row_product``)."""
     if a.ndim < 2 or b.ndim != 2:
         raise ShapeError(
             f"matmul needs a rank >= 2 and a rank-2 tensor, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    return _make(a.data @ b.data, (a, b), lambda g: _affine_backprop(a, b, None, g))
+    return _make(_row_product(a.data, b.data), (a, b), lambda g: _affine_backprop(a, b, None, g))
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -283,13 +283,16 @@ def _check_affine(x: Tensor, w: Tensor, b: Tensor) -> None:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Fused ``x @ w + b`` over the last axis of x, bias broadcast over rows.
-
-    Leading axes of x (a batch of samples) are treated as more rows.
-    """
+    """Fused ``x @ w + b`` over the last axis of x, on its row view."""
     _check_affine(x, w, b)
-    out = x.data @ w.data + b.data
+    out = _row_product(x.data, w.data) + b.data
     return _make(out, (x, w, b), lambda g: _affine_backprop(x, w, b, g))
+
+
+def _row_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` on x's 2-D row view, (-1, K): leading axes of x (a batch of
+    samples) are more rows, and the product is shaped back to them."""
+    return (x.reshape(-1, w.shape[0]) @ w).reshape(*x.shape[:-1], w.shape[1])
 
 
 def _affine_backprop(x: Tensor, w: Tensor, b: Tensor | None, g: np.ndarray) -> None:
@@ -333,16 +336,17 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
+    """Columns [start, stop) of the last axis; leading axes are kept."""
+    if x.ndim < 2 or not (0 <= start < stop <= x.shape[-1]):
         raise ShapeError(f"column slice [{start}:{stop}] invalid for shape {x.shape}")
 
     def backprop(g):
         if x.requires_grad:
             full = np.zeros_like(x.data)
-            full[:, start:stop] = g
+            full[..., start:stop] = g
             _accumulate(x, full)
 
-    return _make(x.data[:, start:stop].copy(), (x,), backprop)
+    return _make(x.data[..., start:stop].copy(), (x,), backprop)
 
 
 def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
@@ -389,18 +393,18 @@ def permute_rows(x: Tensor, order: np.ndarray, inverse: np.ndarray) -> Tensor:
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Rank-2 tensors of equal row count, side by side."""
+    """Tensors of one rank >= 2 and equal leading axes, joined on the last axis."""
     if not parts:
         raise ContractError("concat of zero parts")
-    if any(p.ndim != 2 for p in parts):
-        raise ShapeError("concat expects rank-2 parts")
-    out = np.concatenate([p.data for p in parts], axis=1)
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
+    if any(p.ndim < 2 for p in parts):
+        raise ShapeError("concat expects parts of rank >= 2")
+    out = np.concatenate([p.data for p in parts], axis=-1)
+    offsets = np.cumsum([0] + [p.shape[-1] for p in parts])
 
     def backprop(g):
         for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                _accumulate(p, g[:, a:b])
+                _accumulate(p, g[..., a:b])
 
     return _make(out, parts, backprop)
 
@@ -573,7 +577,7 @@ def affine_gelu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     the backward, and nothing else of the hidden width.
     """
     _check_affine(x, w, b)
-    h = x.data @ w.data
+    h = _row_product(x.data, w.data)
     h += b.data
     sq = h * h
     t = sq * h

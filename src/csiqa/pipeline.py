@@ -46,6 +46,8 @@ from .errors import (
     ContractError,
     CorrelationUndefinedError,
     NumericalDivergenceError,
+    check_integer,
+    check_real,
 )
 from .head import head_shapes, score as head_score
 from .metrics import plcc, srcc
@@ -94,10 +96,9 @@ class ModelConfig:
             raise ContractError(f"ratio_mode must be fixed or arbitrary, got {self.ratio_mode!r}")
         for name, least in (("block_size", 1), ("embed_dim", 1), ("depth", 0), ("heads", 1),
                             ("window", 1), ("crop_size", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-                    or value < least:
-                raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_integer(name, getattr(self, name), least)
+        for name in ("ratio", "init_std", "embed_gain"):
+            check_real(name, getattr(self, name))
         for name in ("init_std", "embed_gain"):
             if not getattr(self, name) >= 0:  # NaN fails too
                 raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -197,7 +198,7 @@ def init_model(cfg: ModelConfig) -> ModelState:
 def forward(imgs: np.ndarray, state: ModelState, ratio: float | None = None):
     """Score a batch of same-sized single-channel images in [0, 1].
 
-    ``imgs`` is (N, H, W), or one (H, W) image as the N=1 case. Returns
+    ``imgs`` is (N, H, W); one (H, W) image is made a stack of one. Returns
     ((N,) score tensor, diagnostics dict); the diagnostics hold (N, L)
     per-token scores and weights. Images are padded to a multiple of the
     block size, and the padded token grid must be the trained
@@ -210,7 +211,8 @@ def forward(imgs: np.ndarray, state: ModelState, ratio: float | None = None):
         if cfg.ratio_mode != "fixed":
             raise ContractError("arbitrary-ratio model needs an explicit ratio at inference")
         ratio = cfg.ratio
-    meas = sample(state.params["csm.phi"], imgs, ratio)
+    imgs = np.asarray(imgs, dtype=np.float64)
+    meas = sample(state.params["csm.phi"], imgs[None] if imgs.ndim == 2 else imgs, ratio)
     grid, side = meas.grid, cfg.grid_side
     if (grid.blocks_h, grid.blocks_w) != (side, side):
         raise ContractError(
@@ -221,7 +223,6 @@ def forward(imgs: np.ndarray, state: ModelState, ratio: float | None = None):
         tokens = embed(state.params["aem.embed"], meas)
     else:
         tokens = bypass_embed(meas, cfg.embed_dim)
-    tokens = nm.reshape(tokens, (meas.batch, meas.grid.num_blocks, cfg.embed_dim))
     x = add_position(tokens, state.params["aem.pos"])
     x = encode(x, state.group("enc"), cfg.depth, cfg.heads)
     x = window_refine(x, meas.grid, state.group("refine0"), cfg.heads, cfg.window)
@@ -331,13 +332,14 @@ class TrainSettings:
     val_every: int | None = None  # 0 disables validation; None = once per epoch
 
     def __post_init__(self):
-        if self.batch < 1:
-            raise ContractError(f"batch must be a positive integer, got {self.batch}")
-        for name in ("steps", "epochs", "val_every", "lr", "weight_decay"):
-            value = getattr(self, name)
+        for name, least in (("batch", 1), ("epochs", 0), ("steps", 0), ("val_every", 0)):
+            if getattr(self, name) is not None or name in ("batch", "epochs"):
+                check_integer(name, getattr(self, name), least)
+        for name in ("lr", "weight_decay"):
+            check_real(name, getattr(self, name))
             # NaN passes: a non-finite update is a divergence, not an input error
-            if value is not None and value < 0:
-                raise ContractError(f"{name} must be non-negative, got {value}")
+            if getattr(self, name) < 0:
+                raise ContractError(f"{name} must be non-negative, got {getattr(self, name)}")
 
     def total_steps(self, steps_per_epoch: int) -> int:
         return self.steps if self.steps is not None else self.epochs * steps_per_epoch

@@ -2,7 +2,8 @@
 
 An image is split into non-overlapping B x B blocks; each flattened block is
 multiplied by the first ceil(ratio * B^2) rows of a learnable B^2 x B^2 base
-matrix, yielding one short measurement vector per block. The matrix is a
+matrix, yielding one short measurement vector per block: (L, m) for an
+(H, W) image, (N, L, m) for an (N, H, W) stack. The matrix is a
 plain ``numerics.Tensor`` (the model's ``csm.phi``) and B is read off its
 shape. A small reconstruction network (linear per-block expansion plus a
 3-layer convolutional refiner over each image's (H*W, 1) pixel grid)
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import numerics as nm
 from .data import pad_bottom_right
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, check_integer, check_real
 from .gridops import conv3x3
 
 # Guard against float fuzz like 0.3*100 = 30.000000000000004 before ceiling.
@@ -29,6 +30,7 @@ _RATIO_FUZZ = 1e-9
 
 def measurement_count(block_size: int, ratio: float) -> int:
     """Rows kept when truncating at ``ratio``: ceil(ratio * B^2), min 1."""
+    check_real("sampling ratio", ratio)
     if not 0.0 < ratio <= 1.0:
         raise ContractError(f"sampling ratio must be in (0, 1], got {ratio}")
     return max(1, math.ceil(ratio * block_size * block_size - _RATIO_FUZZ))
@@ -53,12 +55,10 @@ class BlockGrid:
 
 @dataclass
 class MeasurementSet:
-    """Per-block measurement vectors stacked into an (N*L, m) tensor.
+    """Per-block measurement vectors, (L, m) for one image or (N, L, m)
+    for N same-sized images, each image's L blocks in scan order.
 
-    Rows are the blocks of N same-sized images, image by image, each in
-    scan order; a single image is the N=1 case. Everything after the
-    measurement (tokens, grid ops, the reconstruction) keeps N as a
-    leading axis instead.
+    The leading axes are the images', as in every layer after this one.
     """
 
     values: nm.Tensor
@@ -66,11 +66,11 @@ class MeasurementSet:
 
     @property
     def measurement_length(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     @property
     def batch(self) -> int:
-        return self.values.shape[0] // self.grid.num_blocks
+        return math.prod(self.values.shape[:-2])
 
     @property
     def total_scalars(self) -> int:
@@ -119,36 +119,33 @@ def pad_to_blocks(img: np.ndarray, block_size: int) -> np.ndarray:
 def split_blocks(img: np.ndarray, block_size: int) -> tuple[np.ndarray, BlockGrid]:
     """Split (padding first if needed) into row-major flattened blocks.
 
-    Returns an (N*L, B^2) array whose rows are each image's blocks in scan
-    order, with each block flattened row-major, plus the per-image grid
-    geometry. A single (H, W) image gives N=1.
+    Returns an (L, B^2) array for an (H, W) image, (N, L, B^2) for an
+    (N, H, W) stack, whose rows are each image's blocks in scan order,
+    each block flattened row-major, plus the per-image grid geometry.
     """
     padded = pad_to_blocks(img, block_size)
-    h, w = padded.shape[-2:]
+    *lead, h, w = padded.shape
     b = block_size
     grid = BlockGrid(h // b, w // b, b)
-    blocks = (
-        padded.reshape(-1, grid.blocks_h, b, grid.blocks_w, b)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(-1, b * b)
-    )
-    return np.ascontiguousarray(blocks), grid
+    blocks = padded.reshape(*lead, grid.blocks_h, b, grid.blocks_w, b).swapaxes(-3, -2)
+    return np.ascontiguousarray(blocks.reshape(*lead, grid.num_blocks, b * b)), grid
 
 
 def sample(matrix: nm.Tensor, img: np.ndarray, ratio: float) -> MeasurementSet:
     """Measure every block with the truncated matrix; differentiable in it.
 
-    ``img`` is one (H, W) image or an (N, H, W) stack, measured as one
-    (N*L, B^2) @ Phi^T product, B being ``block_side(matrix)``. Computed as
-    the full-matrix product followed by a column slice so that measurements
-    at a smaller ratio are bitwise a prefix of those at any larger ratio
-    (the truncated-multiply order would leave that to BLAS rounding).
+    ``img`` is one (H, W) image or an (N, H, W) stack, giving (L, m) or
+    (N, L, m) values from one product of all blocks with Phi^T, B being
+    ``block_side(matrix)``. Computed as the full-matrix product followed by
+    a column slice so that measurements at a smaller ratio are bitwise a
+    prefix of those at any larger ratio (the truncated-multiply order would
+    leave that to BLAS rounding).
     """
     b = block_side(matrix)
     m = measurement_count(b, ratio)
     blocks, grid = split_blocks(img, b)
     full = nm.matmul(nm.Tensor(blocks), nm.permute(matrix, (1, 0)))
-    y = nm.slice_cols(full, 0, m) if m < full.shape[1] else full
+    y = nm.slice_cols(full, 0, m) if m < full.shape[-1] else full
     return MeasurementSet(y, grid)
 
 
@@ -167,7 +164,7 @@ def sample_conv(matrix: nm.Tensor, img: np.ndarray, ratio: float) -> Measurement
     windows = np.lib.stride_tricks.sliding_window_view(
         padded, (b, b), axis=(-2, -1))[..., ::b, ::b, :, :]
     y = np.einsum("...ghuv,muv->...ghm", windows, kernels, optimize=True)
-    return MeasurementSet(nm.Tensor(y.reshape(-1, m)), grid)
+    return MeasurementSet(nm.Tensor(y.reshape(*y.shape[:-3], grid.num_blocks, m)), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +192,7 @@ class CsnetReconstructor:
 def reconstructor_shapes(block_size: int, ratio: float, width: int) -> dict[str, tuple[int, ...]]:
     """Parameter shapes of the reconstructor, in draw order."""
     for name, value in (("block_size", block_size), ("width", width)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ContractError(f"reconstructor {name} must be a positive integer, got {value!r}")
+        check_integer(f"reconstructor {name}", value, 1)
     m = measurement_count(block_size, ratio)
     side = block_size * block_size
     return {
@@ -225,10 +221,10 @@ def init_reconstructor(
 def csnet_reconstruct(rec: CsnetReconstructor, meas: MeasurementSet) -> nm.Tensor:
     """Reconstruct the padded images from measurements; fully differentiable.
 
-    Returns (N, H, W) for N images' measurements, (1, H, W) for one image.
-    Blocks are laid back onto each image's pixel grid, (N, H*W, 1), by a
-    reshape and an axis permutation, so the backward is a transposition,
-    not a scatter.
+    Returns (N, H, W) for (N, L, m) measurements, (1, H, W) for one
+    image's (L, m). Blocks are laid back onto each image's pixel grid,
+    (N, H*W, 1), by a reshape and an axis permutation, so the backward is
+    a transposition, not a scatter.
     """
     if meas.grid.block_size != rec.block_size:
         raise ContractError(
@@ -303,8 +299,8 @@ def pretrain_csm(
     """
     if not corpus:
         raise ContractError("pretraining corpus is empty")
-    if epochs < 0:
-        raise ContractError(f"pretraining epochs must be non-negative, got {epochs}")
+    check_integer("pretraining epochs", epochs, 0)
+    check_real("pretraining lr", lr)
     if lr < 0:  # NaN passes, as in TrainSettings
         raise ContractError(f"pretraining lr must be non-negative, got {lr}")
     # separate streams so paired runs share the reconstructor init exactly,

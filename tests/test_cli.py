@@ -403,11 +403,15 @@ class TestBadCheckpoint:
         assert "PLCC=" not in captured.out and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("kind,name", [("model", "window"), ("model", "seed"),
-                                           ("csm-pretrain", "width")])
+                                           ("csm-pretrain", "width"), ("model", "ratio"),
+                                           ("model", "init_std"), ("model", "embed_gain"),
+                                           ("csm-pretrain", "ratio")])
     def test_boolean_for_an_integer_exits_2(self, kind, name, toyset, trained_ckpt, tmp_path,
                                             capsys):
-        """``true`` where the config needs an integer is a format error that
-        names the field, not a traceback inside the model or a silent 1."""
+        """``true`` where the config needs an integer or any other number is
+        a format error that names the field, not a traceback inside the
+        model or a silent 1 (a model file holding ``"ratio": true`` scored
+        at ratio 1.0)."""
         ckpt, out = tmp_path / "bool.ckpt", tmp_path / "m.ckpt"
         if kind == "model":
             source, args = trained_ckpt, ["score", "--image", toyset["image"], "--ckpt", str(ckpt)]

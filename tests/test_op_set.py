@@ -7,10 +7,12 @@ wraps them; the second test keeps both lists honest. The third holds the
 benchmark's op boundary to one ``adam_step`` per optimizer update, and the
 fourth runs each benchmark workload once, so a change to an API it calls
 fails here rather than only in a benchmark run. No linter is installed, so
-an AST pass also finds any name a module imports and never uses.
+an AST pass also finds any name a module imports and never uses. The last
+test holds README's tape-record count to what a desk forward records.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from csiqa.data import generate_toy_dataset, read_manifest
 
 SRC = Path(nm.__file__).parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+README = PERFBENCH.parent / "README.md"
 
 # public numerics names no model path calls, with the reason each stays
 UNCALLED = {
@@ -125,3 +128,13 @@ def test_every_benchmark_workload_runs_one_op(monkeypatch, tmp_path, name):
         phase = workload.run(ctx, marks, 0.0, 1)
         problems = workload.check(ctx)
     assert (phase.attempted, phase.failed, problems) == (1, 0, [])
+
+
+def test_readme_quotes_the_desk_forward_record_count(rng):
+    quoted = re.search(r"desk\s+forward\s+over\s+8\s+crops\s+records\s+(\d+)\s+tape\s+ops",
+                       README.read_text(encoding="utf-8"))
+    assert quoted, "README no longer quotes a desk forward's tape-record count"
+    state = pl.init_model(pl.ModelConfig())
+    with nm.GradTape() as tape:
+        pl.forward(rng.random((8, 32, 32)), state)
+    assert len(tape) == int(quoted.group(1))

@@ -299,6 +299,16 @@ class TestTraining:
         with pytest.raises(ContractError, match=field):
             pl.TrainSettings(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("batch", 2.5), ("batch", True), ("batch", None), ("steps", True), ("steps", 2.0),
+        ("epochs", 1.5), ("epochs", False), ("val_every", False), ("val_every", 1.5),
+        ("lr", True), ("weight_decay", False), ("lr", "1e-3"),
+    ])
+    def test_wrong_types_rejected(self, field, value):
+        # a bool would pass as 0 or 1, and a float batch fails only inside numpy
+        with pytest.raises(ContractError, match=field):
+            pl.TrainSettings(**{field: value})
+
     def test_zero_steps_and_epochs_allowed(self):
         assert pl.TrainSettings(steps=0).total_steps(3) == 0
         assert pl.TrainSettings(epochs=0).total_steps(3) == 0
@@ -829,6 +839,17 @@ class TestConfig:
         # init_model could not draw from
         with pytest.raises(ContractError, match=field):
             pl.ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("ratio", True), ("init_std", True), ("embed_gain", False), ("ratio", "0.1"),
+    ])
+    def test_boolean_or_text_in_a_float_field_rejected(self, field, value):
+        # True would otherwise pass as 1: a model file holding "ratio": true
+        # loaded and scored at ratio 1.0
+        with pytest.raises(ContractError, match=field):
+            pl.ModelConfig(**{field: value})
+        with pytest.raises(ContractError, match=field):
+            pl.ModelConfig(ratio_mode="arbitrary", **{field: value})
 
     def test_desk_model_parameters(self):
         params = pl.init_model(pl.ModelConfig()).params

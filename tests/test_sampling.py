@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csiqa import embedding as em
 from csiqa import numerics as nm
 from csiqa import sampling as sp
 from csiqa.errors import ContractError, NumericalDivergenceError, ShapeError
@@ -76,6 +77,14 @@ class TestTruncate:
             sp.measurement_count(4, 0.0)
         with pytest.raises(ContractError):
             sp.measurement_count(4, 1.5)
+
+    @pytest.mark.parametrize("ratio", [True, "0.5"])
+    def test_ratio_must_be_a_number(self, ratio):
+        # True would otherwise keep every row, as ratio 1.0 does
+        with pytest.raises(ContractError, match="ratio"):
+            sp.measurement_count(4, ratio)
+        with pytest.raises(ContractError, match="ratio"):
+            sp.reconstructor_shapes(4, ratio, 16)
 
 
 class TestSample:
@@ -181,6 +190,37 @@ class TestSampleConv:
         meas = sp.sample_conv(identity_matrix(4), img, 1.0)
         blocks, _ = sp.split_blocks(img, 4)
         assert np.max(np.abs(meas.values.data - blocks)) <= 1e-12
+
+
+class TestPerImageLayout:
+    """A stack's measurements keep the image axis: each image's slice
+    equals that image measured alone, which gives (L, ·)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(8, 12), (10, 14)])  # 10x14 pads at B=4
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 1.0])
+    def test_stack_equals_each_image(self, n, shape, ratio, rng):
+        matrix = sp.random_sampling_matrix(4, rng)
+        table = nm.Tensor(rng.normal(size=(16, 16)))
+        routes = {
+            "split_blocks": lambda x: sp.split_blocks(x, 4)[0],
+            "sample": lambda x: sp.sample(matrix, x, ratio).values.data,
+            "sample_conv": lambda x: sp.sample_conv(matrix, x, ratio).values.data,
+            "embed": lambda x: em.embed(table, sp.sample(matrix, x, ratio)).data,
+            "bypass_embed": lambda x: em.bypass_embed(sp.sample(matrix, x, ratio), 16).data,
+        }
+        imgs = rng.random((n, *shape))
+        blocks = sp.split_blocks(imgs, 4)[1].num_blocks
+        assert sp.sample(matrix, imgs, ratio).batch == n
+        assert sp.sample(matrix, imgs[0], ratio).batch == 1
+        for name, route in routes.items():
+            stack = route(imgs)
+            assert stack.shape[:2] == (n, blocks), name
+            for img, own in zip(imgs, stack):
+                single = route(img)
+                assert single.shape == own.shape, name
+                assert np.max(np.abs(own - single)) <= 1e-12, name
+                assert np.array_equal(single, route(img[None])[0]), name
 
 
 class TestReconstructor:
@@ -370,6 +410,13 @@ class TestBatchedPretrain:
     def test_negative_epochs_rejected(self, rng):
         with pytest.raises(ContractError, match="epochs"):
             sp.pretrain_csm([rng.random((8, 8))], 0.25, epochs=-1, lr=1e-3, width=4)
+
+    @pytest.mark.parametrize("field,value", [("epochs", True), ("epochs", 1.5), ("epochs", 2.0),
+                                             ("lr", True)])
+    def test_wrong_types_rejected(self, field, value, rng):
+        args = {"epochs": 1, "lr": 1e-3, field: value}
+        with pytest.raises(ContractError, match=field):
+            sp.pretrain_csm([rng.random((8, 8))], 0.25, width=4, **args)
 
     def test_negative_lr_rejected(self, rng):
         with pytest.raises(ContractError, match="lr"):
