@@ -1,12 +1,14 @@
 """Command-line interface: pretraining, training, evaluation, scoring.
 
-Each setting is declared once in ``SETTINGS`` and each subcommand once in
-``COMMANDS``; ``build_parser`` makes every flag from those two tables.
-Settings resolve in order: command-line flag, then config-file entry
-(``key=value`` lines, ``#`` comments), then the subcommand's default; every
-effective setting is echoed in a run header so logged runs are
-self-describing. Exit codes: 0 success, 2 usage or input error, 3
-numerical failure (a non-finite loss, score or weight map).
+Each setting's help is declared once in ``SETTINGS`` and each subcommand
+once in ``COMMANDS``; ``build_parser`` makes every flag from those tables.
+Settings resolve flag > config-file entry (``key=value`` lines, ``#``
+comments) > ``CSIQA_SEED`` for the seed > the subcommand's default, and
+each text is checked by its ``errors.KINDS`` kind before any input is read;
+an error names the setting and its source. Every effective setting is
+echoed in a run header so logged runs are self-describing. Exit codes: 0
+success, 2 usage or input error, 3 numerical failure (a non-finite loss,
+score or weight map).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import center_crop, generate_toy_dataset, read_manifest, read_utf8
-from .errors import CheckpointError, ContractError, NumericalDivergenceError
+from .errors import KINDS, CheckpointError, ContractError, Kind, NumericalDivergenceError
 from .head import weight_map
 from .pipeline import (
     ModelConfig,
@@ -38,14 +40,6 @@ from .pipeline import (
 )
 from .pnm import read_image, write_pgm
 from .sampling import pretrain_csm
-
-
-def _env_seed() -> int:
-    text = os.environ.get("CSIQA_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ContractError(f"CSIQA_SEED must be an integer, got {text!r}") from None
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -66,47 +60,32 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def _ratio(text: str) -> float:
-    """A fixed sampling ratio in (0, 1]."""
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise ValueError(text)
-    return value
+_RATIO_OR_R = Kind(f"{KINDS['ratio'].words} or 'r'", lambda v: v == "r" or KINDS["ratio"].test(v),
+                   lambda text: "r" if text == "r" else float(text))
 
-
-def _ratio_or_r(text: str):
-    """'r' selects arbitrary-ratio mode; otherwise a fixed ratio."""
-    return "r" if text == "r" else _ratio(text)
-
-
-# One row per setting: name -> (caster, help). Its flag is --name with "-"
-# for "_", its config-file key is the name, and flag text and file text both
-# go through the caster.
+# name -> help; the flag is --name with "-" for "_", the config-file key the name
 SETTINGS = {
-    "variant": (str, "cl-iqa or cs-iqa"),
-    "ratio": (_ratio, "sampling ratio in (0, 1]"),
-    "block_size": (int, "sampling block side in pixels"),
-    "embed_dim": (int, "token width"),
-    "depth": (int, "encoder blocks"),
-    "heads": (int, "attention heads"),
-    "window": (int, "refinement window side in tokens"),
-    "crop_size": (int, "crop side in pixels"),
-    "embed_gain": (float, "embedding output gain"),
-    "batch": (int, "crops per training batch"),
-    "lr": (float, "Adam learning rate"),
-    "weight_decay": (float, "coupled weight decay"),
-    "epochs": (int, "passes over the data"),
-    "steps": (int, "optimizer steps; 0 trains for --epochs"),
-    "width": (int, "reconstructor hidden width"),
-    "crops": (int, "random crops averaged per image"),
-    "count": (int, "number of images"),
-    "size": (int, "image side in pixels"),
-    "kind": (str, "noise or blur"),
-    "seed": (int, "RNG seed (default: env CSIQA_SEED or 0)"),
+    "variant": "cl-iqa or cs-iqa",
+    "ratio": "sampling ratio in (0, 1]",
+    "block_size": "sampling block side in pixels",
+    "embed_dim": "token width",
+    "depth": "encoder blocks",
+    "heads": "attention heads",
+    "window": "refinement window side in tokens",
+    "crop_size": "crop side in pixels",
+    "embed_gain": "embedding output gain",
+    "batch": "crops per training batch",
+    "lr": "Adam learning rate",
+    "weight_decay": "coupled weight decay",
+    "epochs": "passes over the data",
+    "steps": "optimizer steps; 0 trains for --epochs",
+    "width": "reconstructor hidden width",
+    "crops": "random crops averaged per image",
+    "count": "number of images",
+    "size": "image side in pixels",
+    "kind": "noise or blur",
+    "seed": "RNG seed (default: env CSIQA_SEED or 0)",
 }
-
-_KINDS = {int: "an integer", float: "a number", _ratio: "a number in (0, 1]",
-          _ratio_or_r: "a number in (0, 1] or 'r'"}
 
 
 class Command(NamedTuple):
@@ -119,10 +98,10 @@ class Command(NamedTuple):
     settings: dict
     paths: dict
     output: str | None  # checked to be a file in an existing directory before the work
-    rows: dict = {}  # SETTINGS rows this subcommand replaces
+    rows: dict = {}  # (kind, help) rows this subcommand replaces
 
-    def row(self, key: str) -> tuple:
-        return self.rows.get(key) or SETTINGS[key]
+    def row(self, key: str) -> tuple[Kind, str]:
+        return self.rows.get(key) or (KINDS[key], SETTINGS[key])
 
 
 def _flag(name: str) -> str:
@@ -130,12 +109,8 @@ def _flag(name: str) -> str:
 
 
 def resolve_settings(args) -> dict:
-    """Merge flag > config file > default for every setting the subcommand
-    takes, then add its path flags as given.
-
-    A callable default (the env-var seed) is called only when neither the
-    flag nor the config file sets the key.
-    """
+    """Merge flag > config file > ``CSIQA_SEED`` (the seed only) > default
+    for every setting the subcommand takes, then add its path flags as given."""
     command = COMMANDS[args.command]
     file_cfg = parse_config_file(args.config) if args.config else {}
     unknown = set(file_cfg) - set(command.settings)
@@ -143,21 +118,15 @@ def resolve_settings(args) -> dict:
         raise ContractError(f"unknown config file keys: {sorted(unknown)}")
     resolved = {}
     for key, default in command.settings.items():
-        text = getattr(args, key)
+        text, source = getattr(args, key), _flag(key)
         if text is None:
-            text = file_cfg.get(key)
-        if text is None:
-            resolved[key] = default() if callable(default) else default
-            continue
-        caster = command.row(key)[0]
+            text, source = file_cfg.get(key), f"config file {args.config}"
+        if text is None and key == "seed":
+            text, source = os.environ.get("CSIQA_SEED"), "CSIQA_SEED"
         try:
-            resolved[key] = caster(text)
-        except ValueError:
-            raise ContractError(f"{key} must be {_KINDS[caster]}, got {text!r}") from None
-    if resolved["seed"] < 0:
-        source = ("--seed" if args.seed is not None
-                  else f"config file {args.config}" if "seed" in file_cfg else "CSIQA_SEED")
-        raise ContractError(f"seed must be non-negative, got {resolved['seed']} (from {source})")
+            resolved[key] = default if text is None else command.row(key)[0].cast(key, text)
+        except ContractError as e:
+            raise ContractError(f"{e} (from {source})") from None
     resolved.update((name, getattr(args, name)) for name in command.paths)
     return resolved
 
@@ -294,35 +263,35 @@ COMMANDS = {
     "pretrain": Command(
         cmd_pretrain, "pretrain the sampling matrix on an image corpus",
         {"ratio": 0.25, "epochs": 200, "lr": 1e-2, "block_size": 4, "width": 16,
-         "seed": _env_seed},
+         "seed": 0},
         {"corpus": (True, "directory of PGM/PPM images"),
          "out": (True, "output checkpoint path")}, "out"),
     "train": Command(
         cmd_train, "train a quality model on a manifest",
         {**{k: getattr(ModelConfig, k) for k in _MODEL_KEYS},
          **{k: getattr(TrainSettings, k) for k in _OPTIMIZER_KEYS},
-         "steps": 0, "seed": _env_seed},
+         "steps": 0, "seed": 0},
         {"manifest": (True, None),
          "csm": (False, "pretrained sampling checkpoint to initialize from"),
          "out": (True, None)}, "out",
-        rows={"ratio": (_ratio_or_r, "sampling ratio in (0, 1], or 'r' for arbitrary")}),
+        rows={"ratio": (_RATIO_OR_R, "sampling ratio in (0, 1], or 'r' for arbitrary")}),
     "eval": Command(
         cmd_eval, "evaluate a checkpoint on a manifest's test split",
-        {"ratio": None, "crops": 5, "seed": _env_seed},
+        {"ratio": None, "crops": 5, "seed": 0},
         {"manifest": (True, None), "ckpt": (True, None),
          "report": (False, "write per-image scores to this CSV")}, "report"),
     "score": Command(
         cmd_score, "score one image",
-        {"ratio": None, "crops": 5, "seed": _env_seed},
+        {"ratio": None, "crops": 5, "seed": 0},
         {"image": (True, None), "ckpt": (True, None),
          "weight_map": (False, "also write the token weight map (PGM)")}, "weight_map"),
     "weight-map": Command(
         cmd_weight_map, "write the token weight map for one image",
-        {"ratio": None, "seed": _env_seed},
+        {"ratio": None, "seed": 0},
         {"image": (True, None), "ckpt": (True, None), "out": (True, None)}, "out"),
     "make-toy": Command(
         cmd_make_toy, "generate the synthetic toy dataset",
-        {"count": 32, "size": 40, "kind": "noise", "seed": _env_seed},
+        {"count": 32, "size": 40, "kind": "noise", "seed": 0},
         {"out": (True, "output directory")}, None),  # it creates --out
 }
 

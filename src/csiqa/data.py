@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check
 from .pnm import read_image, write_pgm
 
 
@@ -205,12 +205,10 @@ def generate_toy_dataset(
     scores are strictly monotone in the distortion strength with no ties.
     Bad arguments raise ``ContractError`` before anything is written.
     """
-    if n_images < 1:
-        raise ContractError(f"image count must be a positive integer, got {n_images}")
-    if size < 1:
-        raise ContractError(f"image size must be a positive integer, got {size}")
-    if kind not in ("noise", "blur"):
-        raise ContractError(f"distortion kind must be noise or blur, got {kind!r}")
+    check("count", n_images, "n_images")
+    check("size", size)
+    check("kind", kind)
+    check("seed", seed)
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     snrs = np.logspace(np.log10(SNR_RANGE[0]), np.log10(SNR_RANGE[1]), n_images)

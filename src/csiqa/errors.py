@@ -1,7 +1,14 @@
-"""Exception types shared across the package, and the two type checks
-that every config and settings field goes through."""
+"""Exception types shared across the package, and the settings table.
 
+``KINDS`` declares every setting once, as name -> kind. Library arguments,
+config objects and checkpoint meta go through ``check``, and command-line,
+config-file and environment text through ``Kind.cast``. Rules that tie two
+settings together stay with the object that holds both.
+"""
+
+from dataclasses import fields
 from numbers import Integral, Real
+from typing import Any, Callable, NamedTuple
 
 
 class ContractError(ValueError):
@@ -36,15 +43,68 @@ class CheckpointChecksumError(CheckpointError):
     """Checkpoint payload does not match its trailing CRC32."""
 
 
-def check_integer(name: str, value, least: int) -> None:
-    """``ContractError`` naming ``name`` unless ``value`` is an integer, not
-    a bool, of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
+class Kind(NamedTuple):
+    """One kind of setting: the words its error gives, the test a value
+    must pass and the reader of its text."""
+
+    words: str
+    test: Callable[[Any], bool]
+    parse: Callable[[str], Any] = float
+
+    def check(self, name: str, value):
+        """``value``; ``ContractError`` naming ``name`` unless it passes."""
+        if not self.test(value):
+            raise ContractError(f"{name} must be {self.words}, got {value!r}")
+        return value
+
+    def cast(self, name: str, text: str):
+        """The checked value that ``text`` spells."""
+        try:
+            return self.check(name, self.parse(text))
+        except ValueError:  # ContractError is one
+            raise ContractError(f"{name} must be {self.words}, got {text!r}") from None
 
 
-def check_real(name: str, value) -> None:
-    """``ContractError`` naming ``name`` unless ``value`` is a real number
-    and not a bool; NaN passes, each field bounds it as it must."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ContractError(f"{name} must be a number, got {value!r}")
+def _real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _integer(least: int) -> Kind:
+    return Kind(f"an integer >= {least}", lambda v: isinstance(v, Integral)
+                and not isinstance(v, bool) and v >= least, int)
+
+
+def _choice(*options: str) -> Kind:
+    return Kind(f"one of {options}", lambda v: v in options, str)
+
+
+# Every setting by name. A non-negative number fails NaN; a rate passes it,
+# since a non-finite update is a divergence, not an input error.
+KINDS = {
+    "variant": _choice("cl-iqa", "cs-iqa"),
+    "ratio_mode": _choice("fixed", "arbitrary"),
+    "kind": _choice("noise", "blur"),  # a toy set's distortion
+    "ratio": Kind("a number in (0, 1]", lambda v: _real(v) and 0.0 < v <= 1.0),
+    **dict.fromkeys(("init_std", "embed_gain"),
+                    Kind("a number >= 0", lambda v: _real(v) and v >= 0)),
+    **dict.fromkeys(("lr", "weight_decay"),
+                    Kind("a non-negative number", lambda v: _real(v) and not v < 0)),
+    **dict.fromkeys(("depth", "seed", "steps", "epochs", "val_every"), _integer(0)),
+    **dict.fromkeys(("block_size", "embed_dim", "heads", "window", "crop_size", "batch",
+                     "width", "crops", "count", "size"), _integer(1)),
+}
+
+
+def check(name: str, value, label: str | None = None) -> None:
+    """``ContractError`` naming ``label`` (default ``name``) unless
+    ``value`` is of the kind ``KINDS[name]``."""
+    KINDS[name].check(label or name, value)
+
+
+def check_fields(obj) -> None:
+    """``check`` each dataclass field of ``obj`` under its own name; a
+    field whose default is None may be None."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None or f.default is not None:
+            check(f.name, value)

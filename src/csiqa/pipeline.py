@@ -46,8 +46,8 @@ from .errors import (
     ContractError,
     CorrelationUndefinedError,
     NumericalDivergenceError,
-    check_integer,
-    check_real,
+    check,
+    check_fields,
 )
 from .head import head_shapes, score as head_score
 from .metrics import plcc, srcc
@@ -60,7 +60,6 @@ from .sampling import (
     sample,
 )
 
-VARIANTS = ("cl-iqa", "cs-iqa")
 DEFAULT_RATIO_SET = (0.1, 0.2, 0.5, 1.0)
 VAL_CROPS = 3  # random crops per validation image
 
@@ -90,33 +89,19 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ContractError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.ratio_mode not in ("fixed", "arbitrary"):
-            raise ContractError(f"ratio_mode must be fixed or arbitrary, got {self.ratio_mode!r}")
-        for name, least in (("block_size", 1), ("embed_dim", 1), ("depth", 0), ("heads", 1),
-                            ("window", 1), ("crop_size", 1), ("seed", 0)):
-            check_integer(name, getattr(self, name), least)
-        for name in ("ratio", "init_std", "embed_gain"):
-            check_real(name, getattr(self, name))
-        for name in ("init_std", "embed_gain"):
-            if not getattr(self, name) >= 0:  # NaN fails too
-                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
+        check_fields(self)
         if self.embed_dim % self.heads:
             raise ContractError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        if self.embed_dim % 2:
-            raise ContractError(f"embed_dim must be even, got {self.embed_dim}")
+        head_shapes(self.embed_dim)  # an even width, for the head's d/2 hidden layer
         if self.crop_size % self.block_size:
             raise ContractError(
                 f"crop_size {self.crop_size} not a multiple of block size {self.block_size}")
         if self.grid_side % self.window:
             raise ContractError(
                 f"window {self.window} does not divide the {self.grid_side}-wide token grid")
-        for r in self.active_ratios():
-            if not 0.0 < r <= 1.0:
-                raise ContractError(f"sampling ratio {r} outside (0, 1]")
-            if self.variant == "cs-iqa":
+        if self.variant == "cs-iqa":
+            for r in self.active_ratios():
                 m = measurement_count(self.block_size, r)
                 if m > self.embed_dim:
                     raise ContractError(
@@ -254,8 +239,7 @@ def predict_image(
     in order from ``rng`` (``predict_records`` gives image i ``[seed, 3, i]``)
     and scored as one batched forward; their scores are summed in crop order.
     """
-    if n_crops < 1:
-        raise ContractError(f"crops must be a positive integer, got {n_crops}")
+    check("crops", n_crops, "n_crops")
     size = state.config.crop_size
     img = np.asarray(img, dtype=np.float64)
     crops = np.stack([random_crop(img, size, rng) for _ in range(n_crops)])
@@ -331,15 +315,7 @@ class TrainSettings:
     epochs: int = 100
     val_every: int | None = None  # 0 disables validation; None = once per epoch
 
-    def __post_init__(self):
-        for name, least in (("batch", 1), ("epochs", 0), ("steps", 0), ("val_every", 0)):
-            if getattr(self, name) is not None or name in ("batch", "epochs"):
-                check_integer(name, getattr(self, name), least)
-        for name in ("lr", "weight_decay"):
-            check_real(name, getattr(self, name))
-            # NaN passes: a non-finite update is a divergence, not an input error
-            if getattr(self, name) < 0:
-                raise ContractError(f"{name} must be non-negative, got {getattr(self, name)}")
+    __post_init__ = check_fields
 
     def total_steps(self, steps_per_epoch: int) -> int:
         return self.steps if self.steps is not None else self.epochs * steps_per_epoch

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics as nm
 from .data import pad_bottom_right
-from .errors import ContractError, ShapeError, check_integer, check_real
+from .errors import ContractError, ShapeError, check
 from .gridops import conv3x3
 
 # Guard against float fuzz like 0.3*100 = 30.000000000000004 before ceiling.
@@ -30,9 +30,7 @@ _RATIO_FUZZ = 1e-9
 
 def measurement_count(block_size: int, ratio: float) -> int:
     """Rows kept when truncating at ``ratio``: ceil(ratio * B^2), min 1."""
-    check_real("sampling ratio", ratio)
-    if not 0.0 < ratio <= 1.0:
-        raise ContractError(f"sampling ratio must be in (0, 1], got {ratio}")
+    check("ratio", ratio)
     return max(1, math.ceil(ratio * block_size * block_size - _RATIO_FUZZ))
 
 
@@ -106,8 +104,7 @@ def pad_to_blocks(img: np.ndarray, block_size: int) -> np.ndarray:
 
     Takes one (H, W) image or a stack of N same-sized images (N, H, W).
     """
-    if block_size <= 0:
-        raise ContractError(f"block size must be positive, got {block_size}")
+    check("block_size", block_size)
     img = np.asarray(img, dtype=np.float64)
     if img.ndim not in (2, 3):
         raise ShapeError(
@@ -191,8 +188,8 @@ class CsnetReconstructor:
 
 def reconstructor_shapes(block_size: int, ratio: float, width: int) -> dict[str, tuple[int, ...]]:
     """Parameter shapes of the reconstructor, in draw order."""
-    for name, value in (("block_size", block_size), ("width", width)):
-        check_integer(f"reconstructor {name}", value, 1)
+    check("block_size", block_size)
+    check("width", width)
     m = measurement_count(block_size, ratio)
     side = block_size * block_size
     return {
@@ -299,10 +296,9 @@ def pretrain_csm(
     """
     if not corpus:
         raise ContractError("pretraining corpus is empty")
-    check_integer("pretraining epochs", epochs, 0)
-    check_real("pretraining lr", lr)
-    if lr < 0:  # NaN passes, as in TrainSettings
-        raise ContractError(f"pretraining lr must be non-negative, got {lr}")
+    check("epochs", epochs)
+    check("lr", lr)
+    check("seed", seed)
     # separate streams so paired runs share the reconstructor init exactly,
     # whether or not a frozen matrix is supplied
     matrix_rng = np.random.default_rng(np.random.SeedSequence([seed, 11, 0]))

@@ -10,8 +10,10 @@ import pytest
 from csiqa.checkpoint import array_to_bytes, read_checkpoint, write_checkpoint
 from csiqa.cli import COMMANDS, SETTINGS, main
 from csiqa.data import ManifestRecord, generate_toy_dataset, read_manifest
+from csiqa.errors import KINDS, ContractError
 from csiqa.pipeline import (
     ModelConfig,
+    TrainSettings,
     evaluate,
     load_model,
     load_pretrained_csm,
@@ -431,6 +433,22 @@ class TestBadCheckpoint:
         assert code == 2 and f"{name} must be" in captured.err and "True" in captured.err
         assert "Traceback" not in captured.err and not out.exists()
 
+    @pytest.mark.parametrize("ratio", [5.0, float("nan")])
+    def test_out_of_range_arbitrary_mode_ratio_exits_2(self, ratio, toyset, trained_ckpt,
+                                                       tmp_path, capsys):
+        """An arbitrary-mode model file's ratio meets the same rule as a
+        fixed-mode one's, though scoring takes its ratio from --ratio."""
+        blobs = dict(read_checkpoint(trained_ckpt))
+        meta = json.loads(blobs["meta/config"])
+        meta["config"].update(ratio_mode="arbitrary", ratio=ratio)
+        blobs["meta/config"] = json.dumps(meta).encode("utf-8")
+        ckpt = tmp_path / "arbitrary.ckpt"
+        write_checkpoint(ckpt, list(blobs.items()))
+        code = main(["score", "--image", toyset["image"], "--ckpt", str(ckpt), "--ratio", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2 and "ratio must be" in captured.err and "Traceback" not in captured.err
+        assert all(line.startswith("# ") for line in captured.out.splitlines())
+
     @pytest.mark.parametrize("command", ["eval", "score"])
     def test_old_format_names_removed_config_keys(self, command, toyset, trained_ckpt,
                                                   tmp_path, capsys):
@@ -488,6 +506,24 @@ class TestCountSettings:
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags,name", [
+        ("eval", ["--crops", "0"], "crops"),
+        ("score", ["--crops", "0"], "crops"),
+        ("train", ["--batch", "0"], "batch"),
+        ("pretrain", ["--width", "0"], "width"),
+        ("train", ["--variant", "vit"], "variant"),
+        ("train", ["--embed-gain", "nan"], "embed_gain"),
+    ])
+    def test_exits_2_before_any_input_is_read(self, command, flags, name, tmp_path, capsys):
+        # every required input is missing, so an error about a setting shows
+        # none was read first; no run header is printed either
+        paths = [arg for key, (required, _) in COMMANDS[command].paths.items() if required
+                 for arg in ("--" + key.replace("_", "-"), str(tmp_path / "missing" / key))]
+        assert main([command, *paths, *flags]) == 2
+        captured = capsys.readouterr()
+        assert f"{name} must be" in captured.err and f"(from {flags[0]})" in captured.err
+        assert "missing" not in captured.err and captured.out == ""
 
     def test_unknown_toy_kind_in_config_file_writes_nothing(self, tmp_path, capsys):
         cfg = tmp_path / "toy.cfg"
@@ -579,15 +615,15 @@ class TestNonUtf8Input:
         assert not out.exists()
 
 
-def _sample_text(caster) -> str:
-    """Text that the setting's caster accepts."""
-    for text in ("3", "0.5"):
+def _sample_text(kind, key) -> str:
+    """Text that the setting's kind accepts."""
+    for text in ("3", "0.5", "cl-iqa", "noise"):
         try:
-            caster(text)
+            kind.cast(key, text)
             return text
-        except ValueError:
+        except ContractError:
             pass
-    raise AssertionError(f"no sample text for {caster}")
+    raise AssertionError(f"no sample text for {key}")
 
 
 class TestSettingsTable:
@@ -597,6 +633,31 @@ class TestSettingsTable:
     TAKEN = [(c, k) for c, cmd in COMMANDS.items() for k in cmd.settings]
     NOT_TAKEN = [(c, k) for c, cmd in COMMANDS.items() for k in SETTINGS
                  if k not in cmd.settings]
+
+    def test_every_setting_has_one_kind(self, tmp_path):
+        """Config fields, flags and pretraining-meta keys all have a table
+        entry; every flag is cast by its own entry (train's 'r' spelling of
+        arbitrary mode apart) and every default passes it."""
+        rng = np.random.default_rng(0)
+        save_pretrained_csm(tmp_path / "csm.ckpt", random_sampling_matrix(4, rng),
+                            init_reconstructor(4, 0.25, rng, width=4), [])
+        meta = json.loads(dict(read_checkpoint(tmp_path / "csm.ckpt"))["meta/config"])
+        names = {f.name for cls in (ModelConfig, TrainSettings) for f in fields(cls)}
+        names |= set(SETTINGS) | (set(meta) - {"kind"})  # "kind" tags the file's kind
+        assert names - set(KINDS) == set()
+        for command, cmd in COMMANDS.items():
+            for key, default in cmd.settings.items():
+                kind = cmd.row(key)[0]
+                assert (kind is KINDS[key]) is ((command, key) != ("train", "ratio"))
+                # a None ratio leaves scoring at the model's own ratio
+                assert (key == "ratio" and default is None) or kind.test(default), (command, key)
+
+    @pytest.mark.parametrize("cls,field", [(cls, f.name) for cls in (ModelConfig, TrainSettings)
+                                           for f in fields(cls)])
+    def test_every_config_field_is_checked(self, cls, field):
+        # True fails every kind: no field escapes the table
+        with pytest.raises(ContractError, match=f"{field} must be"):
+            cls(**{field: True})
 
     def test_every_model_config_field_is_a_setting(self):
         # ratio_mode is set by --ratio r; init_std is library-only
@@ -620,24 +681,27 @@ class TestSettingsTable:
 
     @pytest.mark.parametrize("command,key", TAKEN)
     def test_flag_and_config_key_give_same_header(self, command, key, tmp_path, capsys):
-        text = _sample_text(COMMANDS[command].row(key)[0])
+        kind = COMMANDS[command].row(key)[0]
+        text = _sample_text(kind, key)
         from_flag, from_file = self._both_sources(command, key, text, tmp_path, capsys)
         assert from_flag[1] == from_file[1]
-        value = COMMANDS[command].row(key)[0](text)
+        value = kind.cast(key, text)
         assert f"# {key} = {value}" in from_flag[1]
         assert from_flag[0] == from_file[0]
 
-    @pytest.mark.parametrize("command,key", [(c, k) for c, k in TAKEN
-                                             if COMMANDS[c].row(k)[0] is not str])
+    @pytest.mark.parametrize("command,key", TAKEN)
     def test_flag_and_config_key_give_same_error(self, command, key, tmp_path, capsys):
+        # the errors differ only in the source they name
         from_flag, from_file = self._both_sources(command, key, "?", tmp_path, capsys)
         assert from_flag[0] == from_file[0] == 2
-        assert from_flag[2] == from_file[2]
+        flag, cfg = "--" + key.replace("_", "-"), f"config file {tmp_path / 'run.cfg'}"
+        assert f"(from {flag})" in from_flag[2] and f"(from {cfg})" in from_file[2]
+        assert from_flag[2].replace(flag, cfg) == from_file[2]
         assert key in from_flag[2] and "Traceback" not in from_flag[2]
 
     @pytest.mark.parametrize("command,key", NOT_TAKEN)
     def test_setting_not_taken_is_unknown(self, command, key, tmp_path, capsys):
-        text = _sample_text(SETTINGS[key][0])
+        text = _sample_text(KINDS[key], key)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
         code, header, err = self._run(command, ["--config", str(cfg)], tmp_path, capsys)

@@ -93,6 +93,15 @@ class TestCrops:
 
 
 class TestToyDataset:
+    @pytest.mark.parametrize("field,value", [
+        ("n_images", True), ("n_images", 0), ("n_images", 2.5), ("size", 8.0), ("size", 0),
+        ("seed", -1), ("seed", True), ("kind", "jpeg"),
+    ])
+    def test_bad_argument_rejected_before_writing(self, field, value, tmp_path):
+        with pytest.raises(ContractError, match=field):
+            data.generate_toy_dataset(tmp_path / "toy", **{"n_images": 2, "size": 8, field: value})
+        assert not (tmp_path / "toy").exists()
+
     def test_generated_dataset_properties(self, tmp_path):
         manifest = data.generate_toy_dataset(tmp_path / "toy", n_images=12, size=24, seed=3)
         recs = data.read_manifest(manifest)

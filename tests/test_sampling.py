@@ -418,6 +418,12 @@ class TestBatchedPretrain:
         with pytest.raises(ContractError, match=field):
             sp.pretrain_csm([rng.random((8, 8))], 0.25, width=4, **args)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_bad_seed_rejected(self, seed, rng):
+        # -1 failed inside numpy's SeedSequence, and True trained as seed 1
+        with pytest.raises(ContractError, match="seed"):
+            sp.pretrain_csm([rng.random((8, 8))], 0.25, epochs=1, lr=1e-3, width=4, seed=seed)
+
     def test_negative_lr_rejected(self, rng):
         with pytest.raises(ContractError, match="lr"):
             sp.pretrain_csm([rng.random((8, 8))], 0.25, epochs=1, lr=-1.0, width=4)
